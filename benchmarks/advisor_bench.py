@@ -32,8 +32,8 @@ sequential path and tracks the numbers across PRs:
 * **sweep** — a 3-budget x 2-seed sweep through the sweep orchestration
   API: run-level sharding (workers=1 vs N) checked byte-identical
   against a sequential per-run ``tune()`` loop, then cold vs warm
-  through the persistent what-if :class:`CostCache` with the warm
-  cost-cache hit rate recorded.
+  through the persistent :class:`EstimationCache` with the warm
+  estimate-cache hit rate recorded.
 * **fig9** — the paper's Figure 9 SampleCF error sweep (TPC-H index
   population x sampling fractions), the estimation-bound workload where
   the fan-out pays off most, sequential vs parallel with an
@@ -463,15 +463,15 @@ def run_sweep_section(args) -> dict:
         "cache_dir": cache_dir,
         "cold": {
             "wall_seconds": round(cold_wall, 4),
-            "cost_cache": cold.cost_cache_stats,
             "estimation_cache": cold.estimation_cache_stats,
         },
         "warm": {
             "wall_seconds": round(warm_wall, 4),
-            "cost_cache": warm.cost_cache_stats,
             "estimation_cache": warm.estimation_cache_stats,
         },
-        "warm_cost_hit_rate": warm.cost_cache_stats.get("hit_rate", 0.0),
+        "warm_estimate_hit_rate": warm.estimation_cache_stats.get(
+            "hit_rate", 0.0
+        ),
         "warm_speedup": round(cold_wall / warm_wall, 3),
         "identical_cold_vs_warm": _same_results(
             [run.result for run in cold.runs],
@@ -901,7 +901,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"[bench] sweep identical: tune-loop={sw['identical_to_tune_loop']} "
               f"workers={sw['identical_across_workers']} "
               f"warm={sw['identical_cold_vs_warm']}; "
-              f"warm cost-cache hit rate {sw['warm_cost_hit_rate']:.2%} "
+              f"warm estimate-cache hit rate "
+              f"{sw['warm_estimate_hit_rate']:.2%} "
               f"(x{sw['warm_speedup']} faster warm)")
     if "fig9" in payload:
         print(f"[bench] fig9 speedup x{payload['fig9']['speedup']} "

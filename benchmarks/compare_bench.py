@@ -84,10 +84,11 @@ MAX_OVERLAP_SLOWDOWN = 1.35
 MIN_OVERLAP_GATE_CPUS = 4
 
 #: Warm hit rates gated against regression (and an absolute floor for
-#: the sweep cost cache: the acceptance bar is >90% on a warm sweep).
+#: the sweep's estimate cache: the acceptance bar is >90% on a warm
+#: sweep).
 _HIT_RATE_KEYS = (
     ("cache", ("warm_hit_rate",), 0.0),
-    ("sweep", ("warm_cost_hit_rate",), 0.9),
+    ("sweep", ("warm_estimate_hit_rate",), 0.9),
 )
 
 

@@ -42,7 +42,7 @@ _TRACKED = (
 #: informational fields carried along but not gated.
 _CONTEXT = (
     ("incremental_speedup", ("incremental", "speedup")),
-    ("sweep_warm_cost_hit_rate", ("sweep", "warm_cost_hit_rate")),
+    ("sweep_warm_estimate_hit_rate", ("sweep", "warm_estimate_hit_rate")),
     ("service_overlap_speedup", ("service", "overlap", "speedup")),
     ("service_pools_reused", ("service", "warm", "pools_reused")),
     ("cpu_count", ("meta", "cpu_count")),

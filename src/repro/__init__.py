@@ -27,7 +27,6 @@ from repro.advisor import (
     RetuneResult,
     SweepResult,
     TuningAdvisor,
-    TuningSession,
 )
 from repro.catalog import Column, Database, Table
 from repro.columnstore import (
@@ -58,18 +57,6 @@ from repro.datasets import (
 )
 
 __version__ = "1.0.0"
-
-
-def __getattr__(name: str):
-    """PEP 562 forwarders for the deprecated free-function entry
-    points; the home-module shims emit the DeprecationWarning.  Use
-    :class:`repro.api.Session` instead."""
-    if name in ("tune", "tune_decoupled", "run_sweep"):
-        from repro import advisor as _advisor
-        return getattr(_advisor, name)
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}"
-    )
 
 __all__ = [
     "__version__",
@@ -103,11 +90,7 @@ __all__ = [
     "TuningAdvisor",
     "AdvisorOptions",
     "AdvisorResult",
-    "TuningSession",
     "RetuneResult",
-    "tune",
-    "tune_decoupled",
-    "run_sweep",
     "SweepResult",
     # engine
     "Executor",

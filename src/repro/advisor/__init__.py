@@ -26,8 +26,9 @@ from repro.advisor.enumeration import (
 from repro.advisor.merging import generate_merged_candidates, merge_pair
 from repro.advisor.retune import (
     RetuneResult,
-    TuningSession,
+    advisor_run,
     configuration_diff,
+    report_diff,
     retune_run,
     retune_sequence,
 )
@@ -52,14 +53,12 @@ __all__ = [
     "register_variant",
     "variant_names",
     "variants",
-    "tune",
-    "tune_decoupled",
-    "run_sweep",
-    "TuningSession",
     "RetuneResult",
+    "advisor_run",
     "retune_run",
     "retune_sequence",
     "configuration_diff",
+    "report_diff",
     "SweepResult",
     "SweepRun",
     "CandidateOptions",
@@ -79,21 +78,3 @@ __all__ = [
     "Enumerator",
 ]
 
-
-def __getattr__(name: str):
-    """Deprecated names forward to the shims in their home modules
-    (which emit the DeprecationWarning) — eagerly importing them here
-    would warn on every package import.  ``tune``/``tune_decoupled``/
-    ``run_sweep`` moved to the :class:`repro.api.Session` facade."""
-    if name == "VARIANTS":
-        from repro.advisor import advisor as _advisor
-        return _advisor.VARIANTS
-    if name in ("tune", "tune_decoupled"):
-        from repro.advisor import advisor as _advisor
-        return getattr(_advisor, name)
-    if name == "run_sweep":
-        from repro.advisor import sweep as _sweep
-        return _sweep.run_sweep
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}"
-    )

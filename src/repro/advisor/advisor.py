@@ -5,9 +5,7 @@ merging, enumeration — with the compression extensions of Sections 4-6.
 
 from __future__ import annotations
 
-import hashlib
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 from repro.advisor import algorithms
@@ -34,7 +32,7 @@ from repro.compression.base import CompressionMethod
 from repro.errors import AdvisorError
 from repro.optimizer.constants import DEFAULT_COST_CONSTANTS, CostConstants
 from repro.optimizer.whatif import WhatIfOptimizer
-from repro.parallel.cache import CostCache, EstimationCache
+from repro.parallel.cache import EstimationCache
 from repro.parallel.engine import DirtyRelay, ParallelEngine
 from repro.physical.configuration import Configuration
 from repro.physical.index_def import IndexDef
@@ -88,14 +86,8 @@ class AdvisorOptions:
     (statement-level memoization, access-path probes, bound-based
     candidate pruning); recommendations are byte-identical with it on
     or off, at any worker count — off only costs time.
-    ``cache_dir`` persists size estimates *and* what-if costs across
-    runs (``estimates.json`` / ``costs.json`` in the same directory).
-    Caveat: with ``workers`` > 1 the enumeration costings happen in
-    forked workers whose cost-cache entries die with the pool, so only
-    parent-side costs are persisted from a single parallel run —
-    :func:`repro.advisor.run_sweep` is the path that combines full
-    cost persistence with parallelism (its shard unit is a whole run,
-    costed in-process).
+    ``cache_dir`` persists size estimates across runs
+    (``estimates.json`` in that directory).
     """
 
     budget_bytes: float
@@ -159,10 +151,8 @@ class AdvisorResult:
     #: persistent estimation-cache counters for this run (empty when no
     #: cache is wired); see :meth:`EstimationCache.stats`.
     cache_stats: dict = field(default_factory=dict)
-    #: persistent what-if cost-cache counters for this run (empty when
-    #: no cache is wired); see :meth:`CostCache.stats`.  Parent-process
-    #: counters only — like :attr:`optimizer_calls`, worker-side
-    #: lookups/stores with ``workers > 1`` die with the pool.
+    #: always empty: the persistent what-if cost cache is gone; kept
+    #: until the stats surfaces are retired together.
     cost_cache_stats: dict = field(default_factory=dict)
     #: parallel-engine counters for this run; see :meth:`ParallelEngine.stats`.
     engine_stats: dict = field(default_factory=dict)
@@ -240,7 +230,6 @@ class TuningAdvisor:
         constants: CostConstants = DEFAULT_COST_CONSTANTS,
         base_config: Configuration | None = None,
         engine: ParallelEngine | None = None,
-        cost_cache: CostCache | None = None,
         progress: ProgressHook | None = None,
         fork_context: "object | None" = None,
         fork_stale_ok: bool = False,
@@ -270,7 +259,6 @@ class TuningAdvisor:
         #: the caller.
         self._owns_engine = engine is None
         self.engine = engine or ParallelEngine(options.workers)
-        self._constants = constants
         self.progress = progress
         #: the object engine sessions fork against.  Default: this
         #: advisor (a fresh pool per run).  A service lane passes a
@@ -329,14 +317,9 @@ class TuningAdvisor:
             # always correct.
             self.engine.keep_alive = False
         self.estimator = estimator
-        if cost_cache is None and options.cache_dir is not None:
-            cost_cache = CostCache(options.cache_dir)
-        self.cost_cache = cost_cache
         self.whatif = WhatIfOptimizer(
             database, self.stats, sizes=self._size_lookup,
-            constants=constants, cost_cache=cost_cache,
-            cost_context=self._cost_context,
-            kernel=options.kernel,
+            constants=constants, kernel=options.kernel,
         )
         self.base_config = base_config or self.default_base_configuration()
         self._original_base_sizes = {
@@ -386,25 +369,6 @@ class TuningAdvisor:
             ix.with_method(method)
             for ix in members for method in methods
         ))
-
-    def _cost_context(self) -> str:
-        """Fingerprint of every run-level input a persisted what-if cost
-        depends on beyond the (statement, sized structures) key: the
-        sampled data behind the size estimates, the accuracy constraint
-        that shaped them, and the cost constants.  Resolved lazily on
-        the first persistent cost lookup (the sample fingerprint is an
-        O(rows) scan, computed once per estimator)."""
-        est = self.estimator
-        material = (
-            f"fp={est.sample_fingerprint};"
-            f"opts_e={self.options.e!r};opts_q={self.options.q!r};"
-            f"est_e={est.e!r};est_q={est.q!r};"
-            f"deduction={est.use_deduction};"
-            f"default_fraction={est.default_fraction!r};"
-            f"fractions={est.fractions!r};"
-            f"constants={self._constants!r}"
-        )
-        return hashlib.sha256(material.encode()).hexdigest()
 
     def _workload_cost(self, config: Configuration) -> float:
         if self.delta is not None:
@@ -646,11 +610,6 @@ class TuningAdvisor:
             progress=self.progress,
             query_cost_batch=self._query_cost_batch,
         )
-        if self.cost_cache is not None:
-            # Resolve the persistent-key context (an O(rows) sample
-            # fingerprint) in the parent, so enumeration workers inherit
-            # it through fork instead of each recomputing it.
-            self.whatif._context()
         base_cost = self._workload_cost(self.base_config)
         # Forked here: workers inherit the full estimate/sample state,
         # and each greedy sweep fans its candidate costings out.
@@ -664,8 +623,6 @@ class TuningAdvisor:
         self._emit("phase", phase="finished",
                    final_cost=result.cost, base_cost=base_cost,
                    steps=len(result.steps))
-        if self.cost_cache is not None:
-            self.cost_cache.save()
         return AdvisorResult(
             configuration=result.configuration,
             base_configuration=self.base_config,
@@ -681,10 +638,6 @@ class TuningAdvisor:
             cache_stats=(
                 self.estimator.cache.stats()
                 if self.estimator.cache is not None else {}
-            ),
-            cost_cache_stats=(
-                self.cost_cache.stats()
-                if self.cost_cache is not None else {}
             ),
             engine_stats=self.engine.stats(),
             kernel_stats=self.whatif.kernel.stats(),
@@ -792,42 +745,7 @@ for _spec in (
 del _spec
 
 
-def __getattr__(name: str):
-    """Module-level deprecation shims.
-
-    ``VARIANTS``: the string-keyed dict became the :class:`VariantSpec`
-    registry.  Direct access still works (a fresh name -> overrides
-    mapping is synthesized) but warns; mutations no longer reach the
-    registry — use :func:`register_variant`.
-
-    ``tune`` / ``tune_decoupled``: the free functions became methods of
-    the ``repro.api.Session`` facade.  The originals are returned
-    unchanged (byte-identical behaviour) behind a
-    :class:`DeprecationWarning`.
-    """
-    if name == "VARIANTS":
-        warnings.warn(
-            "repro.advisor.advisor.VARIANTS is deprecated; use "
-            "repro.advisor.variants() / get_variant(name) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return {spec.name: dict(spec.options) for spec in variants()}
-    if name in ("tune", "tune_decoupled"):
-        warnings.warn(
-            f"repro.advisor.advisor.{name}() is deprecated; use "
-            "repro.api.Session (Session.tune / Session.tune_decoupled) "
-            "instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return globals()[f"_{name}"]
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}"
-    )
-
-
-def _tune(
+def tune(
     database: Database,
     workload: Workload,
     budget_bytes: float,
@@ -846,7 +764,7 @@ def _tune(
     return advisor.run()
 
 
-def _tune_decoupled(
+def tune_decoupled(
     database: Database,
     workload: Workload,
     budget_bytes: float,

@@ -4,7 +4,7 @@ configuration, for long-lived workloads that drift.
 The paper tunes a static workload once.  A serving advisor instead sees
 a *sequence* of workloads, and cold-tuning each one throws away the two
 assets the previous run already paid for: the previous recommendation
-and the warmed estimate/cost caches.  This module keeps both.
+and the warmed estimate cache.  This module keeps both.
 
 A retune is one advisor run whose search is replaced by
 :class:`_RetuneSearch`:
@@ -23,18 +23,16 @@ A retune is one advisor run whose search is replaced by
    polish, started from the pruned previous configuration rather than
    from scratch.
 
-:class:`TuningSession` is the session-state API around it: it owns the
-database, the workload, shared :class:`DatabaseStats` and persistent
-estimate/cost caches, and the previous configuration — the first
-feature where the advisor's output becomes its next input.
-:func:`retune_run` is the embeddable core (one retune with explicit
-wiring), which the tuning service calls with its own per-request
-estimator/cache discipline.
+:func:`advisor_run` is the one constructor of an advisor run — cold,
+or a retune when a previous configuration is given — that the
+:class:`repro.api.Session` facade, the sweep shard unit and the tuning
+service all call; :func:`report_diff` is the one place a retune's
+configuration diff becomes ``dropped``/``added``/``config_changed``
+events.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Sequence
@@ -44,14 +42,12 @@ from repro.advisor.advisor import (
     AdvisorResult,
     ProgressHook,
     TuningAdvisor,
-    get_variant,
 )
 from repro.advisor.algorithms.base import EnumerationResult
 from repro.advisor.algorithms.greedy_backtrack import GreedyBacktrackAlgorithm
 from repro.advisor.algorithms.relaxation import RelaxationAlgorithm
 from repro.catalog.schema import Database
-from repro.errors import AdvisorError
-from repro.parallel.cache import CostCache, EstimationCache
+from repro.parallel.cache import EstimationCache
 from repro.physical.configuration import Configuration
 from repro.physical.index_def import IndexDef
 from repro.sampling.sample_manager import DEFAULT_SAMPLE_SEED, SampleManager
@@ -266,38 +262,22 @@ def retune_run(
     workload: Workload,
     previous: Configuration,
     options: AdvisorOptions,
-    *,
-    estimator: SizeEstimator | None = None,
-    stats: DatabaseStats | None = None,
-    base_config: Configuration | None = None,
-    engine=None,
-    cost_cache: CostCache | None = None,
-    progress: ProgressHook | None = None,
-    fork_context=None,
-    fork_stale_ok: bool = False,
+    **wiring,
 ) -> AdvisorResult:
-    """One incremental retune with explicit wiring: a standard advisor
-    run whose search is the drop-then-refill :class:`_RetuneSearch`
-    seeded at ``previous``, and whose candidate pool is guaranteed to
-    contain every previous member (so re-fill can re-add a dropped
-    structure and the delta coster's pruning bounds stay sound over the
-    carried-over configuration)."""
-    advisor = TuningAdvisor(
+    """One incremental retune: a standard advisor run (``wiring`` is
+    :class:`TuningAdvisor`'s keyword arguments) whose search is the
+    drop-then-refill :class:`_RetuneSearch` seeded at ``previous``, and
+    whose candidate pool is guaranteed to contain every previous member
+    (so re-fill can re-add a dropped structure and the delta coster's
+    pruning bounds stay sound over the carried-over configuration)."""
+    return TuningAdvisor(
         database,
         workload,
         options,
-        estimator=estimator,
-        stats=stats,
-        base_config=base_config,
-        engine=engine,
-        cost_cache=cost_cache,
-        progress=progress,
-        fork_context=fork_context,
-        fork_stale_ok=fork_stale_ok,
         algorithm_cls=partial(_RetuneSearch, previous),
         extra_candidates=previous.ordered(),
-    )
-    return advisor.run()
+        **wiring,
+    ).run()
 
 
 @dataclass
@@ -328,206 +308,81 @@ class RetuneResult:
         return self.result.improvement
 
 
-class TuningSession:
-    """Session state for continuous tuning: one database + workload
-    whose recommendation is carried forward run over run.
+def advisor_run(
+    database: Database,
+    workload: Workload,
+    options: AdvisorOptions,
+    *,
+    stats: DatabaseStats,
+    seed: int = DEFAULT_SAMPLE_SEED,
+    estimates: EstimationCache | None = None,
+    previous: Configuration | None = None,
+    engine=None,
+    progress: ProgressHook | None = None,
+    fork_context=None,
+    fork_stale_ok: bool = False,
+) -> AdvisorResult:
+    """Build and run one advisor run: a fresh :class:`SizeEstimator`
+    over a :class:`SampleManager` seeded with ``seed`` (identical sample
+    state every run) reading the caller's ``estimates`` cache, then a
+    cold :meth:`TuningAdvisor.run`, or :func:`retune_run` from
+    ``previous`` when one is given.
 
-    The session owns what repeated runs can safely share — the
-    :class:`DatabaseStats`, one :class:`EstimationCache` and one
-    :class:`CostCache` (persistent under ``cache_dir``, in-memory
-    otherwise) — and hands every run a *fresh* seeded estimator over
-    them, the same per-run discipline the sweep orchestrator and the
-    tuning service use.  ``tune()`` runs cold; ``retune()`` runs the
-    incremental drop-then-refill search from the previous result and
-    returns the configuration diff.  Pass ``workload=`` to either call
-    to move the session onto a new drift phase.
-    """
+    Besides the (pure) ``stats``, ``estimates`` is the only state a run
+    shares with its caller; pass a :meth:`~EstimationCache.fork_view`
+    where runs must not observe each other's fresh entries (sweep
+    units, service jobs)."""
+    estimator = SizeEstimator(
+        database,
+        stats=stats,
+        manager=SampleManager(database, seed=seed),
+        e=options.e,
+        q=options.q,
+        cache=estimates,
+    )
+    wiring = dict(
+        estimator=estimator, stats=stats, engine=engine, progress=progress,
+        fork_context=fork_context, fork_stale_ok=fork_stale_ok,
+    )
+    if previous is None:
+        return TuningAdvisor(database, workload, options, **wiring).run()
+    return retune_run(database, workload, previous, options, **wiring)
 
-    def __init__(
-        self,
-        database: Database,
-        workload: Workload | None = None,
-        *,
-        budget_bytes: float | None = None,
-        budget_fraction: float | None = None,
-        variant: str = "dtac-both",
-        seed: int = DEFAULT_SAMPLE_SEED,
-        cache_dir: str | None = None,
-        stats: DatabaseStats | None = None,
-        progress: ProgressHook | None = None,
-        configuration: Configuration | None = None,
-        **options_extra,
-    ) -> None:
-        self.database = database
-        self.workload = workload
-        self.variant = get_variant(variant).name
-        self.seed = seed
-        self.cache_dir = cache_dir
-        self.stats = stats or DatabaseStats(database)
-        self.progress = progress
-        self.options_extra = dict(options_extra)
-        self._default_budget = None
-        self._default_budget = self._resolve_budget(
-            budget_bytes, budget_fraction, required=False
-        )
-        #: the previous recommendation — the next retune's input.  May
-        #: be seeded directly (e.g. from a persisted result) to retune
-        #: without a cold ``tune()`` first.
-        self.configuration = configuration
-        #: completed runs (tune + retune) in this session.
-        self.generation = 0
-        self.estimates = EstimationCache(cache_dir)
-        self.costs = CostCache(cache_dir)
 
-    # ------------------------------------------------------------------
-    def _resolve_budget(
-        self,
-        budget_bytes: float | None,
-        budget_fraction: float | None,
-        required: bool = True,
-    ) -> float | None:
-        if budget_bytes is not None and budget_fraction is not None:
-            raise AdvisorError(
-                "pass budget_bytes or budget_fraction, not both"
-            )
-        if budget_fraction is not None:
-            return self.database.total_data_bytes() * budget_fraction
-        if budget_bytes is not None:
-            return float(budget_bytes)
-        if self._default_budget is None and required:
-            raise AdvisorError(
-                "no budget: pass budget_bytes/budget_fraction to the "
-                "session or to the call"
-            )
-        return self._default_budget
-
-    def _options(self, budget: float, extra: dict) -> AdvisorOptions:
-        return get_variant(self.variant).advisor_options(
-            budget, **{**self.options_extra, **extra}
-        )
-
-    def _fresh_estimator(self, options: AdvisorOptions) -> SizeEstimator:
-        """A per-run estimator over the session's shared cache — fresh
-        sample state seeded identically every run, warm estimates."""
-        return SizeEstimator(
-            self.database,
-            stats=self.stats,
-            manager=SampleManager(self.database, seed=self.seed),
-            e=options.e,
-            q=options.q,
-            cache=self.estimates,
-        )
-
-    def _resolve_workload(self, workload: Workload | None) -> Workload:
-        if workload is not None:
-            self.workload = workload
-        if self.workload is None:
-            raise AdvisorError(
-                "no workload: pass one to the session or to the call"
-            )
-        return self.workload
-
-    def _emit(self, event: dict) -> None:
-        if self.progress is not None:
-            self.progress(event)
-
-    # ------------------------------------------------------------------
-    def tune(
-        self,
-        budget_bytes: float | None = None,
-        *,
-        budget_fraction: float | None = None,
-        workload: Workload | None = None,
-        **extra,
-    ) -> AdvisorResult:
-        """One cold tuning run (no previous-configuration seeding);
-        establishes the configuration later ``retune()`` calls carry
-        forward."""
-        workload = self._resolve_workload(workload)
-        budget = self._resolve_budget(budget_bytes, budget_fraction)
-        options = self._options(budget, extra)
-        advisor = TuningAdvisor(
-            self.database,
-            workload,
-            options,
-            estimator=self._fresh_estimator(options),
-            stats=self.stats,
-            cost_cache=self.costs,
-            progress=self.progress,
-        )
-        result = advisor.run()
-        self.configuration = result.configuration
-        self.generation += 1
-        return result
-
-    def retune(
-        self,
-        budget_bytes: float | None = None,
-        *,
-        budget_fraction: float | None = None,
-        workload: Workload | None = None,
-        **extra,
-    ) -> RetuneResult:
-        """One incremental retune from the session's previous
-        configuration (drop decayed structures, greedy re-fill), under
-        the current — typically drifted — workload."""
-        if self.configuration is None:
-            raise AdvisorError(
-                "retune needs a previous configuration: run tune() "
-                "first, or seed the session with configuration=..."
-            )
-        workload = self._resolve_workload(workload)
-        budget = self._resolve_budget(budget_bytes, budget_fraction)
-        options = self._options(budget, extra)
-        previous = self.configuration
-        start = time.perf_counter()
-        result = retune_run(
-            self.database,
-            workload,
-            previous,
-            options,
-            estimator=self._fresh_estimator(options),
-            stats=self.stats,
-            cost_cache=self.costs,
-            progress=self.progress,
-        )
-        result.elapsed_seconds = time.perf_counter() - start
-        dropped, added, kept = configuration_diff(
-            previous, result.configuration
-        )
-        self.configuration = result.configuration
-        self.generation += 1
-        out = RetuneResult(
-            result=result,
-            generation=self.generation,
-            previous_configuration=previous,
-            dropped=dropped,
-            added=added,
-            kept=kept,
-        )
+def report_diff(
+    previous: Configuration,
+    current: Configuration,
+    generation: int,
+    progress: ProgressHook | None = None,
+) -> "tuple[list[IndexDef], list[IndexDef], list[IndexDef]]":
+    """:func:`configuration_diff`, reported through ``progress`` as
+    ``dropped``/``added`` events (when non-empty) and one
+    ``config_changed`` event; returns (dropped, added, kept)."""
+    dropped, added, kept = configuration_diff(previous, current)
+    if progress is not None:
         if dropped:
-            self._emit({
+            progress({
                 "event": "dropped",
                 "indexes": [ix.display_name() for ix in dropped],
             })
         if added:
-            self._emit({
+            progress({
                 "event": "added",
                 "indexes": [ix.display_name() for ix in added],
             })
-        self._emit({
+        progress({
             "event": "config_changed",
-            "changed": out.config_changed,
-            "generation": self.generation,
+            "changed": bool(dropped or added),
+            "generation": generation,
             "dropped": len(dropped),
             "added": len(added),
             "kept": len(kept),
         })
-        return out
+    return dropped, added, kept
 
 
 def retune_sequence(
-    session: TuningSession,
+    session,
     workloads: Sequence[Workload],
     **extra,
 ) -> "list[RetuneResult | AdvisorResult]":

@@ -12,22 +12,20 @@ step of every (budget, seed) combination.
 Determinism contract
 --------------------
 ``run_sweep`` returns byte-identical :class:`AdvisorResult`\\ s to
-looping :func:`repro.advisor.tune` sequentially with the same per-run
+looping :func:`repro.api.tune` sequentially with the same per-run
 wiring, at any worker count.  Three design choices make that hold:
 
-* Each run unit gets a **fresh** :class:`SizeEstimator` (its own
-  :class:`SampleManager` seeded with the unit's seed), so no run's
-  in-memory estimate state can steer another's deduction planning.
-* Each run unit gets a :meth:`fork_view` snapshot of the persistent
-  caches as they stood *before the sweep started* — whether the unit
-  executes in the parent (``workers=1``) or in a forked worker, it sees
-  the identical cache state; entries a sibling persists mid-sweep are
-  invisible.  Fresh entries still merge into the shared cache directory
-  on save, so the *next* sweep runs warm.
-* What-if cost entries are keyed on the statement x sized-structure
-  signatures (see :class:`repro.parallel.cache.CostCache`), so a cost
-  hit replays arithmetic that is identical by construction — a warm
-  cost cache can skip costing entirely without moving any result.
+* Each run unit is one :func:`~repro.advisor.retune.advisor_run`: a
+  **fresh** :class:`SizeEstimator` (its own :class:`SampleManager`
+  seeded with the unit's seed), so no run's in-memory estimate state
+  can steer another's deduction planning.
+* Each run unit reads a :meth:`fork_view` snapshot of the persistent
+  estimate cache as it stood *before the sweep started* — whether the
+  unit executes in the parent (``workers=1``) or in a forked worker, it
+  sees the identical cache state; entries a sibling persists mid-sweep
+  are invisible.  Fresh entries still merge into the shared cache
+  directory on save, so the *next* sweep skips estimation.  Costing is
+  not persisted: every unit re-costs its own enumeration.
 * The in-run delta memo
   (:class:`repro.optimizer.delta.DeltaWorkloadCoster`) follows the same
   fork-view discipline, taken to its limit: its keys deliberately do
@@ -49,17 +47,13 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.advisor import algorithms
-from repro.advisor.advisor import (
-    AdvisorResult,
-    TuningAdvisor,
-    get_variant,
-)
+from repro.advisor.advisor import AdvisorResult, get_variant
+from repro.advisor.retune import advisor_run
 from repro.catalog.schema import Database
 from repro.errors import AdvisorError
-from repro.parallel.cache import CostCache, EstimationCache
+from repro.parallel.cache import EstimationCache
 from repro.parallel.engine import ParallelEngine
-from repro.sampling.sample_manager import DEFAULT_SAMPLE_SEED, SampleManager
-from repro.sizeest.estimator import SizeEstimator
+from repro.sampling.sample_manager import DEFAULT_SAMPLE_SEED
 from repro.stats.column_stats import DatabaseStats
 from repro.workload.query import Workload
 
@@ -89,7 +83,6 @@ class SweepResult:
     workers: int = 1
     engine_stats: dict = field(default_factory=dict)
     estimation_cache_stats: dict = field(default_factory=dict)
-    cost_cache_stats: dict = field(default_factory=dict)
     #: summed per-unit delta-costing counters (empty when delta costing
     #: was disabled for the sweep).
     delta_stats: dict = field(default_factory=dict)
@@ -171,7 +164,6 @@ class _SweepJob:
         options_extra: dict,
         stats: DatabaseStats,
         estimation_cache: EstimationCache | None,
-        cost_cache: CostCache | None,
     ) -> None:
         self.database = database
         self.workload = workload
@@ -180,7 +172,6 @@ class _SweepJob:
         self.options_extra = options_extra
         self.stats = stats
         self.estimation_cache = estimation_cache
-        self.cost_cache = cost_cache
 
     def run_unit(self, index: int, progress=None) -> AdvisorResult:
         """Run one (seed, budget) unit against a snapshot view of the
@@ -192,31 +183,15 @@ class _SweepJob:
         options = get_variant(self.variant).advisor_options(
             budget, **self.options_extra
         )
-        estimator = SizeEstimator(
-            self.database,
-            stats=self.stats,
-            manager=SampleManager(self.database, seed=seed),
-            e=options.e,
-            q=options.q,
-            cache=(
+        return advisor_run(
+            self.database, self.workload, options,
+            stats=self.stats, seed=seed,
+            estimates=(
                 self.estimation_cache.fork_view()
                 if self.estimation_cache is not None else None
             ),
-        )
-        advisor = TuningAdvisor(
-            self.database,
-            self.workload,
-            options,
-            estimator=estimator,
-            stats=self.stats,
-            engine=ParallelEngine(workers=1),
-            cost_cache=(
-                self.cost_cache.fork_view()
-                if self.cost_cache is not None else None
-            ),
             progress=progress,
         )
-        return advisor.run()
 
 
 def _run_unit_task(job: _SweepJob, index: int) -> AdvisorResult:
@@ -224,26 +199,7 @@ def _run_unit_task(job: _SweepJob, index: int) -> AdvisorResult:
     return job.run_unit(index)
 
 
-def __getattr__(name: str):
-    """PEP 562 deprecation shim: ``run_sweep`` became
-    ``repro.api.Session.sweep``.  The original function is returned
-    unchanged (byte-identical behaviour) behind a warning."""
-    if name == "run_sweep":
-        import warnings
-
-        warnings.warn(
-            "repro.advisor.sweep.run_sweep() is deprecated; use "
-            "repro.api.Session.sweep instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return _run_sweep
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}"
-    )
-
-
-def _run_sweep(
+def run_sweep(
     database: Database,
     workload: Workload,
     budgets: Sequence[float],
@@ -268,9 +224,9 @@ def _run_sweep(
         variant: advisor variant name (see :func:`repro.advisor.variants`).
         workers: pool size for run-level sharding (0 = one per CPU,
             1 = sequential); results are identical at any value.
-        cache_dir: directory for the persistent size-estimate and
-            what-if cost caches, shared by every unit and across sweeps
-            (a rerun of the same sweep skips costing almost entirely).
+        cache_dir: directory for the persistent size-estimate cache,
+            shared by every unit and across sweeps (a rerun of the same
+            sweep skips size estimation almost entirely).
         stats: precomputed :class:`DatabaseStats` (built once if
             omitted).
         engine: injected :class:`ParallelEngine` (tests); overrides
@@ -304,10 +260,9 @@ def _run_sweep(
     estimation_cache = (
         EstimationCache(cache_dir) if cache_dir is not None else None
     )
-    cost_cache = CostCache(cache_dir) if cache_dir is not None else None
     job = _SweepJob(
         database, workload, units, variant, dict(options_extra),
-        stats, estimation_cache, cost_cache,
+        stats, estimation_cache,
     )
     def emit(event: str, **fields) -> None:
         if progress is not None:
@@ -354,9 +309,6 @@ def _run_sweep(
         engine_stats=engine.stats(),
         estimation_cache_stats=_aggregate_cache_stats(
             [run.result.cache_stats for run in runs]
-        ),
-        cost_cache_stats=_aggregate_cache_stats(
-            [run.result.cost_cache_stats for run in runs]
         ),
         delta_stats=_aggregate_delta_stats(
             [run.result.delta_stats for run in runs]

@@ -1,13 +1,9 @@
 """`repro.api` — the one public entry point for tuning.
 
-The historical free functions (``repro.advisor.advisor.tune``,
-``tune_decoupled``, ``repro.advisor.sweep.run_sweep``) drifted into
-three overlapping signatures, each re-plumbing database, workload,
-stats, caches, and variant on every call.  :class:`Session` owns that
-context once — database, workload, variant + option defaults, shared
-:class:`DatabaseStats`, persistent (or in-memory) estimate/cost caches,
-and the previous configuration — and exposes every tuning mode as a
-method:
+:class:`Session` owns a tuning context once — database, workload,
+variant + option defaults, shared :class:`DatabaseStats`, a persistent
+(or in-memory) estimate cache, and the previous configuration — and
+exposes every tuning mode as a method:
 
 * :meth:`Session.tune` — one cold advisor run.
 * :meth:`Session.retune` — incremental continuous-tuning run from the
@@ -16,14 +12,9 @@ method:
   select-then-compress strawman (Example 1/2).
 * :meth:`Session.sweep` — sharded budget sweep / seed ablation.
 
-The old callables remain importable as thin PEP 562 shims that emit a
-:class:`DeprecationWarning` and return the original implementation
-unchanged (byte-identical results).  For callers that genuinely want
-the one-shot functional form (explicit estimators, ad-hoc engines —
-mostly tests and benchmarks), this module also re-exports it under its
-supported home: ``repro.api.tune`` / ``tune_decoupled`` / ``run_sweep``
-are the same objects the deprecated paths shim to, without the
-warning.
+For callers that want the one-shot functional form (explicit
+estimators, ad-hoc engines — mostly tests and benchmarks), this module
+also exports ``tune`` / ``tune_decoupled`` / ``run_sweep``.
 
 Example::
 
@@ -40,31 +31,177 @@ Example::
 
 from __future__ import annotations
 
-from repro.advisor.advisor import AdvisorResult, _tune, _tune_decoupled
-from repro.advisor.retune import RetuneResult, TuningSession
-from repro.advisor.sweep import SweepResult, _run_sweep
+from repro.advisor.advisor import (
+    AdvisorResult,
+    ProgressHook,
+    get_variant,
+    tune,
+    tune_decoupled,
+)
+from repro.advisor.retune import RetuneResult, advisor_run, report_diff
+from repro.advisor.sweep import SweepResult, run_sweep
+from repro.catalog.schema import Database
 from repro.compression.base import CompressionMethod
+from repro.errors import AdvisorError
+from repro.parallel.cache import EstimationCache
+from repro.physical.configuration import Configuration
+from repro.sampling.sample_manager import DEFAULT_SAMPLE_SEED
+from repro.stats.column_stats import DatabaseStats
 from repro.workload.query import Workload
-
-#: supported functional aliases (same objects as the deprecated paths).
-tune = _tune
-tune_decoupled = _tune_decoupled
-run_sweep = _run_sweep
 
 __all__ = [
     "Session",
     "RetuneResult",
     "SweepResult",
-    "TuningSession",
     "run_sweep",
     "tune",
     "tune_decoupled",
 ]
 
 
-class Session(TuningSession):
-    """Facade session: :class:`TuningSession` (tune/retune + session
-    state) extended with the remaining public tuning modes."""
+class Session:
+    """Session state for (continuous) tuning: one database + workload
+    whose recommendation is carried forward run over run.
+
+    The session owns what repeated runs can safely share — the
+    :class:`DatabaseStats` and one :class:`EstimationCache` (persistent
+    under ``cache_dir``, in-memory otherwise) — and every run goes
+    through :func:`~repro.advisor.retune.advisor_run`, which hands it a
+    *fresh* seeded estimator over that cache.  ``tune()`` runs cold;
+    ``retune()`` runs the incremental drop-then-refill search from the
+    previous result and returns the configuration diff.  Pass
+    ``workload=`` to either call to move the session onto a new drift
+    phase.
+    """
+
+    def __init__(
+        self,
+        database: Database,
+        workload: Workload | None = None,
+        *,
+        budget_bytes: float | None = None,
+        budget_fraction: float | None = None,
+        variant: str = "dtac-both",
+        seed: int = DEFAULT_SAMPLE_SEED,
+        cache_dir: str | None = None,
+        stats: DatabaseStats | None = None,
+        progress: ProgressHook | None = None,
+        configuration: Configuration | None = None,
+        **options_extra,
+    ) -> None:
+        self.database = database
+        self.workload = workload
+        self.variant = get_variant(variant).name
+        self.seed = seed
+        self.cache_dir = cache_dir
+        self.stats = stats or DatabaseStats(database)
+        self.progress = progress
+        self.options_extra = dict(options_extra)
+        self._default_budget = None
+        self._default_budget = self._resolve_budget(
+            budget_bytes, budget_fraction, required=False
+        )
+        #: the previous recommendation — the next retune's input.  May
+        #: be seeded directly (e.g. from a persisted result) to retune
+        #: without a cold ``tune()`` first.
+        self.configuration = configuration
+        #: completed runs (tune + retune) in this session.
+        self.generation = 0
+        self.estimates = EstimationCache(cache_dir)
+
+    # ------------------------------------------------------------------
+    def _resolve_budget(
+        self,
+        budget_bytes: float | None,
+        budget_fraction: float | None,
+        required: bool = True,
+    ) -> float | None:
+        if budget_bytes is not None and budget_fraction is not None:
+            raise AdvisorError(
+                "pass budget_bytes or budget_fraction, not both"
+            )
+        if budget_fraction is not None:
+            return self.database.total_data_bytes() * budget_fraction
+        if budget_bytes is not None:
+            return float(budget_bytes)
+        if self._default_budget is None and required:
+            raise AdvisorError(
+                "no budget: pass budget_bytes/budget_fraction to the "
+                "session or to the call"
+            )
+        return self._default_budget
+
+    def _resolve_workload(self, workload: Workload | None) -> Workload:
+        if workload is not None:
+            self.workload = workload
+        if self.workload is None:
+            raise AdvisorError(
+                "no workload: pass one to the session or to the call"
+            )
+        return self.workload
+
+    def _run(self, budget_bytes, budget_fraction, workload, extra: dict,
+             previous: Configuration | None = None) -> AdvisorResult:
+        """One :func:`advisor_run` under the session's context; the
+        result becomes the configuration the next retune carries."""
+        workload = self._resolve_workload(workload)
+        budget = self._resolve_budget(budget_bytes, budget_fraction)
+        options = get_variant(self.variant).advisor_options(
+            budget, **{**self.options_extra, **extra}
+        )
+        result = advisor_run(
+            self.database, workload, options,
+            stats=self.stats, seed=self.seed, estimates=self.estimates,
+            previous=previous, progress=self.progress,
+        )
+        self.configuration = result.configuration
+        self.generation += 1
+        return result
+
+    # ------------------------------------------------------------------
+    def tune(
+        self,
+        budget_bytes: float | None = None,
+        *,
+        budget_fraction: float | None = None,
+        workload: Workload | None = None,
+        **extra,
+    ) -> AdvisorResult:
+        """One cold tuning run (no previous-configuration seeding);
+        establishes the configuration later ``retune()`` calls carry
+        forward."""
+        return self._run(budget_bytes, budget_fraction, workload, extra)
+
+    def retune(
+        self,
+        budget_bytes: float | None = None,
+        *,
+        budget_fraction: float | None = None,
+        workload: Workload | None = None,
+        **extra,
+    ) -> RetuneResult:
+        """One incremental retune from the session's previous
+        configuration (drop decayed structures, greedy re-fill), under
+        the current — typically drifted — workload."""
+        previous = self.configuration
+        if previous is None:
+            raise AdvisorError(
+                "retune needs a previous configuration: run tune() "
+                "first, or seed the session with configuration=..."
+            )
+        result = self._run(budget_bytes, budget_fraction, workload, extra,
+                           previous=previous)
+        dropped, added, kept = report_diff(
+            previous, result.configuration, self.generation, self.progress
+        )
+        return RetuneResult(
+            result=result,
+            generation=self.generation,
+            previous_configuration=previous,
+            dropped=dropped,
+            added=added,
+            kept=kept,
+        )
 
     def tune_decoupled(
         self,
@@ -81,7 +218,7 @@ class Session(TuningSession):
         a comparison arm, not a deployable recommendation."""
         workload = self._resolve_workload(workload)
         budget = self._resolve_budget(budget_bytes, budget_fraction)
-        return _tune_decoupled(
+        return tune_decoupled(
             self.database,
             workload,
             budget,
@@ -104,7 +241,7 @@ class Session(TuningSession):
         advance the session's configuration — a sweep is many
         hypothetical runs, not one deployment decision."""
         workload = self._resolve_workload(workload)
-        return _run_sweep(
+        return run_sweep(
             self.database,
             workload,
             budgets,

@@ -132,11 +132,9 @@ def cmd_sweep(args) -> int:
               f"{outcome.consumed_bytes / 1024:>13.0f} "
               f"{outcome.elapsed_seconds:>7.1f}")
     if result.estimation_cache_stats:
-        est, cost = result.estimation_cache_stats, result.cost_cache_stats
+        est = result.estimation_cache_stats
         print(f"size-estimate cache: {est['hit_rate']:.1%} hit rate "
               f"({est['hits']}/{est['hits'] + est['misses']} lookups)")
-        print(f"what-if cost cache:  {cost['hit_rate']:.1%} hit rate "
-              f"({cost['hits']}/{cost['hits'] + cost['misses']} lookups)")
     if result.engine_stats.get("parallel_maps"):
         print(f"engine: {result.engine_stats['tasks_dispatched']} runs "
               f"sharded over {result.workers} workers")
@@ -603,7 +601,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser(
         "sweep",
         help="run a whole budget sweep / seed ablation as one sharded "
-             "job (one engine session, persistent size + cost caches)",
+             "job (one engine session, persistent size-estimate cache)",
     )
     add_dataset_args(p_sweep)
     p_sweep.add_argument("--budgets", type=_fraction_list,
@@ -705,7 +703,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "borrows (0 = one per CPU, 1 = sequential)")
     p_srv.add_argument("--cache-dir", default=None,
                        help="directory for the persistent size-estimate "
-                            "and what-if cost caches")
+                            "cache and the job journal")
     p_srv.add_argument("--max-pending", type=int, default=64,
                        help="request-queue bound; beyond it the HTTP "
                             "layer answers 503 (backpressure)")

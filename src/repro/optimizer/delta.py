@@ -67,13 +67,11 @@ the full path would compute; pruning only ever skips work whose outcome
 is provably invisible.
 
 The coster is strictly per-run state: its memo keys do not embed size
-estimates (unlike the persistent :class:`~repro.parallel.cache.CostCache`),
-so a memo must never outlive the estimator whose sizes it was built
-from.  Sweep orchestration honors that by construction — every (seed,
-budget) unit's :class:`TuningAdvisor` builds a fresh coster against its
-own seeded estimator, the delta-memo equivalent of handing each unit an
-*empty* fork view of the persistent caches — which keeps sharded and
-sequential sweeps byte-identical.  :meth:`fork_view` offers the same
+estimates, so a memo must never outlive the estimator whose sizes it
+was built from.  Sweep orchestration honors that by construction —
+every (seed, budget) unit's :class:`TuningAdvisor` builds a fresh coster
+against its own seeded estimator — which keeps sharded and sequential
+sweeps byte-identical.  :meth:`fork_view` offers the same
 isolation as an explicit API for embedders that hold a coster across
 runs.
 """

@@ -9,10 +9,9 @@ it touches — and totals weighted workload costs.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.catalog.schema import Database
-from repro.parallel.cache import CostCache
 from repro.parallel.signature import index_identity
 from repro.optimizer.constants import DEFAULT_COST_CONSTANTS, CostConstants
 from repro.optimizer.statement_cost import (
@@ -45,15 +44,6 @@ class WhatIfOptimizer:
             wires in its size-estimation framework here, which is exactly
             the paper's integration point between DTA and size estimation.
         constants: cost-model constants.
-        cost_cache: persistent what-if cost cache shared across runs
-            (optional).  Hits replay earlier breakdowns exactly; the key
-            embeds each relevant structure's estimated size, so a replay
-            is always consistent with the sizes this optimizer would
-            feed the cost model.
-        cost_context: run-level fingerprint for persistent cost keys
-            (sampled data, accuracy constraint, cost constants); a
-            string, or a zero-argument callable resolved lazily on the
-            first persistent lookup.
         kernel: costing-kernel backend name (``auto``/``numpy``/
             ``python``, see :mod:`repro.optimizer.kernels`) or an
             already-resolved :class:`~repro.optimizer.kernels.CostKernel`.
@@ -67,8 +57,6 @@ class WhatIfOptimizer:
         stats: DatabaseStats | None = None,
         sizes: SizeLookup | None = None,
         constants: CostConstants = DEFAULT_COST_CONSTANTS,
-        cost_cache: CostCache | None = None,
-        cost_context: str | Callable[[], str] = "",
         kernel="auto",
     ) -> None:
         from repro.optimizer.kernels import CostKernel, resolve_backend
@@ -84,13 +72,6 @@ class WhatIfOptimizer:
             kernel=self.kernel,
         )
         self._cache: dict[tuple, CostBreakdown] = {}
-        #: plan costs recovered from persistent replays (fresh
-        #: breakdowns carry their plans inline).
-        self._plan_costs: dict[tuple, tuple[float, ...]] = {}
-        self.cost_cache = cost_cache
-        self._cost_context = cost_context
-        self._resolved_context: str | None = None
-        self._sized_signatures: dict[tuple, str] = {}
         self.optimizer_calls = 0
 
     # ------------------------------------------------------------------
@@ -144,43 +125,16 @@ class WhatIfOptimizer:
                 relevant.append(index)
         return relevant
 
-    def _signature_of(self, statement: Statement,
-                      relevant: Sequence[IndexDef]) -> tuple:
-        """In-memory cache key from an already-computed relevant set —
-        the single key constructor behind both :meth:`_signature` (what
-        the aliasing regression tests probe) and :meth:`cost`."""
-        return (
-            statement,
-            frozenset(self._index_cache_key(ix) for ix in relevant),
-        )
-
     def _signature(self, statement: Statement,
                    config: Configuration) -> tuple:
         """Cache key: the statement plus the structures on its tables."""
-        return self._signature_of(
-            statement, self._relevant_structures(statement, config)
+        return (
+            statement,
+            frozenset(
+                self._index_cache_key(ix)
+                for ix in self._relevant_structures(statement, config)
+            ),
         )
-
-    def _context(self) -> str:
-        if self._resolved_context is None:
-            ctx = self._cost_context
-            self._resolved_context = ctx() if callable(ctx) else ctx
-        return self._resolved_context
-
-    def _sized_signature(self, index: IndexDef) -> str:
-        """Memoized sized-structure signature: sizes are fixed for the
-        lifetime of this optimizer (the size lookup is deterministic per
-        run — the persistent key's context fingerprint assumes exactly
-        that), so the lookup + string build happen once per structure,
-        not once per costing."""
-        identity = self._index_cache_key(index)
-        cached = self._sized_signatures.get(identity)
-        if cached is None:
-            from repro.parallel.signature import sized_index_signature
-
-            cached = sized_index_signature(index, *self._sizes(index))
-            self._sized_signatures[identity] = cached
-        return cached
 
     def cost(self, statement: Statement,
              config: Configuration) -> CostBreakdown:
@@ -191,43 +145,18 @@ class WhatIfOptimizer:
         self, statement: Statement, config: Configuration
     ) -> "tuple[CostBreakdown, tuple[float, ...] | None]":
         """One statement's cost plus its chosen per-table access-plan
-        costs (aligned with ``statement.tables``), or None when plans
-        are unknown — an update statement, an MV substitution, or an
-        old-format persistent replay.  The delta coster's access-path
-        probes compare against these, so they survive persistent
-        replays (the cost cache stores them alongside the totals)."""
-        relevant = self._relevant_structures(statement, config)
-        key = self._signature_of(statement, relevant)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached, self._plan_costs_of(key, cached)
-        persistent_key = None
-        if self.cost_cache is not None:
-            persistent_key = CostCache.key_from_signatures(
-                statement,
-                [self._sized_signature(ix) for ix in relevant],
-                self._context(),
-            )
-            replayed = self.cost_cache.get_with_plans(persistent_key)
-            if replayed is not None:
-                breakdown, plan_costs = replayed
-                self._cache[key] = breakdown
-                if plan_costs is not None:
-                    self._plan_costs[key] = plan_costs
-                return breakdown, plan_costs
-        self.optimizer_calls += 1
-        breakdown = self.coster.cost(statement, config)
-        self._cache[key] = breakdown
-        if persistent_key is not None:
-            self.cost_cache.put(persistent_key, breakdown)
-        return breakdown, self._plan_costs_of(key, breakdown)
-
-    def _plan_costs_of(
-        self, key: tuple, breakdown: CostBreakdown
-    ) -> "tuple[float, ...] | None":
+        costs (aligned with ``statement.tables``), or None when there
+        are none — an update statement or an MV substitution.  The delta
+        coster's access-path probes compare against these."""
+        key = self._signature(statement, config)
+        breakdown = self._cache.get(key)
+        if breakdown is None:
+            self.optimizer_calls += 1
+            breakdown = self.coster.cost(statement, config)
+            self._cache[key] = breakdown
         if breakdown.plans:
-            return tuple(plan.cost for plan in breakdown.plans)
-        return self._plan_costs.get(key)
+            return breakdown, tuple(plan.cost for plan in breakdown.plans)
+        return breakdown, None
 
     def delta_coster(self, workload: Workload) -> "DeltaWorkloadCoster":
         """A :class:`~repro.optimizer.delta.DeltaWorkloadCoster` bound
@@ -245,11 +174,10 @@ class WhatIfOptimizer:
         configs: Sequence[Configuration],
     ) -> list[CostBreakdown]:
         """Costs of one statement under a *set* of candidate
-        configurations, in input order (in-memory and persistent
-        cost-cache aware).  Fresh evaluations run through the costing
-        kernel wired into the coster (see
-        :mod:`repro.optimizer.kernels`), so full-recost sweeps batch
-        their per-table access-path arithmetic."""
+        configurations, in input order (cost-cache aware).  Fresh
+        evaluations run through the costing kernel wired into the coster
+        (see :mod:`repro.optimizer.kernels`), so full-recost sweeps
+        batch their per-table access-path arithmetic."""
         return [self.cost(statement, config) for config in configs]
 
     def workload_cost(self, workload: Workload,
@@ -287,5 +215,3 @@ class WhatIfOptimizer:
 
     def clear_cache(self) -> None:
         self._cache.clear()
-        self._plan_costs.clear()
-        self._sized_signatures.clear()

@@ -5,31 +5,27 @@ estimation cache shared across advisor runs.
 The package has three parts:
 
 * :mod:`repro.parallel.signature` — stable (process-independent)
-  content signatures for indexes, statements, configurations and the
+  content signatures for indexes, configurations and the
   sample population; every cross-process or on-disk cache key is built
   from these, never from Python's randomized ``hash()``.
 * :mod:`repro.parallel.cache` — :class:`EstimationCache`, the on-disk
   size-estimate cache keyed on index signature x compression method x
-  sample fingerprint, and :class:`CostCache`, the on-disk what-if cost
-  cache keyed on statement x sized-structure signatures x run context.
+  sample fingerprint.
 * :mod:`repro.parallel.engine` — :class:`ParallelEngine`, a fork-based
   process pool with deterministic result ordering and a transparent
   sequential fallback (``workers=1`` or platforms without ``fork``).
 """
 
-from repro.parallel.cache import CostCache, EstimationCache
+from repro.parallel.cache import EstimationCache
 from repro.parallel.engine import DirtyRelay, ParallelEngine
 from repro.parallel.signature import (
     config_signature,
     index_identity,
     index_signature,
     sample_fingerprint,
-    sized_index_signature,
-    statement_signature,
 )
 
 __all__ = [
-    "CostCache",
     "DirtyRelay",
     "EstimationCache",
     "ParallelEngine",
@@ -37,6 +33,4 @@ __all__ = [
     "index_identity",
     "index_signature",
     "sample_fingerprint",
-    "sized_index_signature",
-    "statement_signature",
 ]

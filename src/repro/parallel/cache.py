@@ -1,37 +1,22 @@
-"""Persistent, content-addressed caches for the advisor's two replayable
-computations: size estimates and what-if costs.
+"""Persistent, content-addressed cache of size estimates.
 
 Size estimation is the advisor's dominant cost on estimation-heavy
-workloads; what-if costing dominates enumeration-heavy ones (budget
-sweeps re-cost the same statement x configuration pairs run after run).
-Both computations are pure functions of explicitly enumerable inputs, so
-both can be persisted and replayed across processes and runs:
+workloads, and it is a pure function of explicitly enumerable inputs,
+so it can be persisted and replayed across processes and runs.
+:class:`EstimationCache` keys each :class:`SizeEstimate` on
 
-* :class:`EstimationCache` keys each :class:`SizeEstimate` on
+    index signature x compression method x sample fingerprint x (e, q)
 
-      index signature x compression method x sample fingerprint x (e, q)
+(the method is part of the index signature and is *also* stored as an
+explicit field, so an entry can never alias two structures that differ
+only in compression).  Semantics: a hit replays the estimate that an
+identical earlier request produced.  A fully warm cache therefore
+reproduces the earlier run's recommendations exactly; a partially warm
+cache may shrink later estimation batches, which can steer deduction
+planning differently than a cold run — still a valid estimate, just not
+bit-for-bit the cold one.
 
-  (the method is part of the index signature and is *also* stored as an
-  explicit field, so an entry can never alias two structures that differ
-  only in compression).  Semantics: a hit replays the estimate that an
-  identical earlier request produced.  A fully warm cache therefore
-  reproduces the earlier run's recommendations exactly; a partially warm
-  cache may shrink later estimation batches, which can steer deduction
-  planning differently than a cold run — still a valid estimate, just
-  not bit-for-bit the cold one.
-
-* :class:`CostCache` keys each what-if :class:`CostBreakdown` on
-
-      statement signature x relevant structures *with their estimated
-      sizes* x context fingerprint (data + accuracy + cost constants)
-
-  Because the estimated bytes/rows of every relevant structure are part
-  of the key, a hit is always consistent with the sizes the current run
-  would feed the cost model: costing is per-(statement, configuration)
-  pure, so — unlike size estimates — a cost-cache hit can *never* steer
-  a run onto a different result, warm or cold.
-
-Both caches persist as JSON in the same cache directory and merge
+The cache persists as JSON in the cache directory and merges
 concurrently-written entries on save, so forked sweep workers can share
 one directory.  :meth:`fork_view` hands each run in a sweep its own
 overlay of the pre-sweep snapshot, which keeps sharded and sequential
@@ -41,29 +26,21 @@ sweeps byte-identical (a run never observes a sibling's fresh entries).
 from __future__ import annotations
 
 import errno
-import hashlib
 import json
 import os
 import tempfile
 import threading
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 from repro.errors import ReproError
-from repro.parallel.signature import (
-    index_signature,
-    sized_index_signature,
-    statement_signature,
-)
+from repro.parallel.signature import index_signature
 from repro.physical.index_def import IndexDef
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle with repro.sizeest
-    from repro.optimizer.statement_cost import CostBreakdown
     from repro.sizeest.samplecf import SizeEstimate
-    from repro.workload.query import Statement
 
 CACHE_FILE = "estimates.json"
-COST_CACHE_FILE = "costs.json"
 _FORMAT_VERSION = 1
 
 #: fault-injection hook (see :mod:`repro.service.faults`): rebound to
@@ -81,9 +58,9 @@ _DEGRADED_ERRNOS = frozenset({errno.ENOSPC, errno.EIO})
 
 
 class _PersistentJsonCache:
-    """Shared machinery of the persistent caches: a string-keyed dict of
-    JSON records with atomic merge-on-save, hit/miss accounting, and
-    per-run snapshot views.
+    """Persistent-cache machinery: a string-keyed dict of JSON records
+    with atomic merge-on-save, hit/miss accounting, and per-run snapshot
+    views.
 
     Args:
         path: directory to persist into (created on first save); None
@@ -109,9 +86,9 @@ class _PersistentJsonCache:
         #: ``ENOSPC``/``EIO``; cleared by the next save that succeeds.
         self.degraded = False
         self.save_errors = 0
-        #: serializes fork_view/absorb/save against each other — the
-        #: tuning service's per-context lanes snapshot and re-absorb
-        #: the *shared* caches from different threads concurrently.
+        #: serializes fork_view/save against each other — the tuning
+        #: service's per-context lanes snapshot the *shared* cache from
+        #: different threads concurrently.
         #: (Per-entry get/put stay unlocked: runs only ever touch their
         #: own fork views, never a shared instance, on hot paths.)
         self._mutate_lock = threading.Lock()
@@ -170,22 +147,6 @@ class _PersistentJsonCache:
             view._entries = dict(self._entries)
             view._loaded_entries = dict(self._loaded_entries)
             return view
-
-    def absorb(self, view: "_PersistentJsonCache") -> int:
-        """Merge a view's entries back into this cache (the reverse of
-        :meth:`fork_view`), returning how many were new.
-
-        Entries are immutable (same key -> same value), so absorption
-        only ever *adds* keys; the tuning service uses this to let a
-        completed run warm the next one where that is provably safe
-        (what-if cost entries — a cost hit can never steer a run)."""
-        added = 0
-        with self._mutate_lock:
-            for key, record in view._entries.items():
-                if key not in self._entries:
-                    self._entries[key] = record
-                    added += 1
-        return added
 
     # ------------------------------------------------------------------
     def save(self) -> None:
@@ -340,108 +301,3 @@ class EstimationCache(_PersistentJsonCache):
             "cost": estimate.cost,
             "fraction": estimate.fraction,
         })
-
-
-class CostCache(_PersistentJsonCache):
-    """Content-addressed cache of what-if :class:`CostBreakdown` records.
-
-    The key spells out everything the cost model can observe: the
-    statement, each relevant structure's method-inclusive signature
-    *with its estimated (bytes, rows)*, and a context fingerprint that
-    digests the data, the accuracy constraint behind the sizes, and the
-    cost constants.  Two hypothetical configurations that differ only in
-    compression method therefore can never alias one entry, and an entry
-    computed against one set of size estimates can never be replayed
-    against another.
-
-    Persisted records keep ``total``/``io``/``cpu``/``used_mv``; access
-    ``plans`` are not persisted (a replayed breakdown carries an empty
-    plan tuple — the advisor consumes totals only).
-    """
-
-    FILE = COST_CACHE_FILE
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def key(
-        statement: "Statement",
-        sized_indexes: Iterable[tuple[IndexDef, float, float]],
-        context: str,
-    ) -> str:
-        """Digest of ``statement x sorted sized-structure signatures x
-        context`` (hashed: a sweep persists tens of thousands of cost
-        entries, and the spelled-out material runs ~half a KiB each).
-
-        Args:
-            statement: the statement being costed.
-            sized_indexes: ``(index, est_bytes, est_rows)`` for every
-                structure the statement's cost can depend on.
-            context: fingerprint of run-level cost inputs (sampled data,
-                accuracy constraint, cost constants).
-        """
-        return CostCache.key_from_signatures(
-            statement,
-            [
-                sized_index_signature(ix, est_bytes, est_rows)
-                for ix, est_bytes, est_rows in sized_indexes
-            ],
-            context,
-        )
-
-    @staticmethod
-    def key_from_signatures(
-        statement: "Statement",
-        sized_signatures: Iterable[str],
-        context: str,
-    ) -> str:
-        """Same key, from precomputed :func:`sized_index_signature`
-        strings (the optimizer memoizes them per structure)."""
-        material = (
-            statement_signature(statement)
-            + "||" + "|".join(sorted(sized_signatures))
-            + "||ctx=" + context
-        )
-        return hashlib.sha256(material.encode()).hexdigest()
-
-    def get(self, key: str) -> "CostBreakdown | None":
-        """The replayed breakdown for an identical earlier costing, or
-        None (``plans`` is empty on a replay)."""
-        replayed = self.get_with_plans(key)
-        return replayed[0] if replayed is not None else None
-
-    def get_with_plans(
-        self, key: str
-    ) -> "tuple[CostBreakdown, tuple[float, ...] | None] | None":
-        """Replayed (breakdown, chosen per-table plan costs) — the plan
-        costs feed the delta coster's access-path probes; None plan
-        costs mean an entry persisted before they were recorded (or a
-        statement that has none), which only disables probe reuse, not
-        the replay itself."""
-        from repro.optimizer.statement_cost import CostBreakdown
-
-        record = self._lookup(key)
-        if record is None:
-            return None
-        breakdown = CostBreakdown(
-            total=record["total"],
-            io=record["io"],
-            cpu=record["cpu"],
-            used_mv=record.get("used_mv", False),
-        )
-        plan_costs = record.get("plan_costs")
-        return breakdown, (
-            tuple(plan_costs) if plan_costs is not None else None
-        )
-
-    def put(self, key: str, breakdown: "CostBreakdown") -> None:
-        record = {
-            "total": breakdown.total,
-            "io": breakdown.io,
-            "cpu": breakdown.cpu,
-            "used_mv": breakdown.used_mv,
-        }
-        if breakdown.plans:
-            # JSON round-trips Python floats exactly (repr-based), so a
-            # replayed plan cost compares bit-identically in probes.
-            record["plan_costs"] = [plan.cost for plan in breakdown.plans]
-        self._store(key, record)

@@ -16,7 +16,6 @@ import hashlib
 
 from repro.physical.configuration import Configuration
 from repro.physical.index_def import IndexDef
-from repro.workload.query import SelectQuery, Statement
 
 
 def index_identity(index: IndexDef) -> tuple:
@@ -67,24 +66,6 @@ def index_signature(index: IndexDef) -> str:
     if mv is not None:
         parts.append("mv=" + repr(mv))
     return ";".join(parts)
-
-
-def sized_index_signature(
-    index: IndexDef, est_bytes: float, est_rows: float
-) -> str:
-    """An index signature extended with the estimated size the cost
-    model would observe.  What-if cost entries are keyed on these, so a
-    persisted cost can never be replayed against size estimates other
-    than the ones it was computed from (e.g. a cache warmed under a
-    different sampling seed or accuracy constraint)."""
-    return f"{index_signature(index)}@bytes={est_bytes!r};rows={est_rows!r}"
-
-
-def statement_signature(statement: Statement) -> str:
-    """Canonical string identity of a workload statement."""
-    if isinstance(statement, SelectQuery):
-        return "select;" + repr(statement)
-    return type(statement).__name__.lower() + ";" + repr(statement)
 
 
 def config_signature(config: Configuration) -> str:

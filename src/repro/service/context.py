@@ -6,12 +6,13 @@ shared statistics, a estimator for the ``estimate_size`` endpoint, a
 what-if optimizer for ``whatif_cost``, and the request executors the
 :class:`~repro.service.service.AdvisorService` queue dispatches to.
 
-Determinism contract: ``tune``/``sweep`` requests are executed exactly
-like :mod:`repro.advisor.sweep` units — a fresh seeded
-:class:`SizeEstimator` per run plus :meth:`fork_view` snapshots of the
-persistent caches — so a service response is byte-identical to calling
-:meth:`TuningAdvisor.run` sequentially with the same wiring, no matter
-what ran before it or concurrently with it.
+Determinism contract: ``tune``/``retune``/``sweep`` requests run
+through the same :func:`~repro.advisor.retune.advisor_run` as a
+:class:`repro.api.Session` and a sweep unit — a fresh seeded
+:class:`SizeEstimator` per run over a :meth:`fork_view` snapshot of the
+persistent estimate cache — so a service response is byte-identical to
+the in-process run on the same inputs, no matter what ran before it or
+concurrently with it.
 """
 
 from __future__ import annotations
@@ -20,23 +21,23 @@ import json
 
 from repro.advisor import algorithms
 from repro.advisor.advisor import (
+    AdvisorOptions,
     AdvisorResult,
-    TuningAdvisor,
     default_base_configuration,
     get_variant,
     quantized_size_lookup,
     variant_names,
 )
-from repro.advisor.retune import configuration_diff, retune_run
-from repro.advisor.sweep import _run_sweep
+from repro.advisor.retune import advisor_run, report_diff
+from repro.advisor.sweep import run_sweep
 from repro.catalog.schema import Database
 from repro.compression.base import CompressionMethod
 from repro.errors import ServiceError
 from repro.optimizer.whatif import WhatIfOptimizer
-from repro.parallel.cache import CostCache, EstimationCache
+from repro.parallel.cache import EstimationCache
 from repro.parallel.engine import ParallelEngine
 from repro.physical.index_def import IndexDef
-from repro.sampling.sample_manager import DEFAULT_SAMPLE_SEED, SampleManager
+from repro.sampling.sample_manager import DEFAULT_SAMPLE_SEED
 from repro.service.scheduler import WarmSlot
 from repro.sizeest.estimator import SizeEstimator
 from repro.stats.column_stats import DatabaseStats
@@ -120,7 +121,6 @@ def serialize_result(result: AdvisorResult) -> dict:
         "meta": {
             "elapsed_seconds": result.elapsed_seconds,
             "cache_stats": result.cache_stats,
-            "cost_cache_stats": result.cost_cache_stats,
             "engine_stats": result.engine_stats,
             "delta_stats": result.delta_stats,
         },
@@ -134,9 +134,9 @@ class ServiceContext:
         name: context name clients address requests to.
         database / workload: what to tune.
         stats: shared statistics (built once when omitted).
-        estimation_cache / cost_cache: the service's persistent caches
-            (tune/sweep runs read fork views of them; the shared
-            estimator behind ``estimate_size`` reads them directly).
+        estimation_cache: the service's persistent estimate cache
+            (tune/retune/sweep runs read fork views of it; the shared
+            estimator behind ``estimate_size`` reads it directly).
         e, q: accuracy constraint of the shared estimator.
     """
 
@@ -148,7 +148,6 @@ class ServiceContext:
         *,
         stats: DatabaseStats | None = None,
         estimation_cache: EstimationCache | None = None,
-        cost_cache: CostCache | None = None,
         cache_dir: str | None = None,
         e: float = 0.5,
         q: float = 0.9,
@@ -158,7 +157,6 @@ class ServiceContext:
         self.workload = workload
         self.stats = stats or DatabaseStats(database)
         self.estimation_cache = estimation_cache
-        self.cost_cache = cost_cache
         self.cache_dir = cache_dir
         #: frozen registration-time snapshot the tune runs fork from.
         #: The live ``estimation_cache`` keeps growing as the estimate
@@ -204,22 +202,67 @@ class ServiceContext:
         }
 
     # ------------------------------------------------------------------
-    # request executors (synchronous; run on the service executor)
+    # payload parsing (shared by submission-time validation and the
+    # executors, so a job that passes submission cannot fail parsing
+    # in a lane)
     # ------------------------------------------------------------------
+    @staticmethod
+    def _number(key: str, value) -> float:
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            raise ServiceError(
+                f"{key!r} must be a number, got {value!r}"
+            ) from None
+
     def _budget_bytes(self, payload: dict) -> float:
         if "budget_bytes" in payload:
-            return float(payload["budget_bytes"])
+            return self._number("budget_bytes", payload["budget_bytes"])
         if "budget_fraction" in payload:
-            return (
-                self.database.total_data_bytes()
-                * float(payload["budget_fraction"])
+            return self.database.total_data_bytes() * self._number(
+                "budget_fraction", payload["budget_fraction"]
             )
         raise ServiceError(
-            "tune/sweep payload needs 'budget_bytes' or 'budget_fraction'"
+            "tune/retune payload needs 'budget_bytes' or 'budget_fraction'"
         )
 
+    def _sweep_budgets(self, payload: dict) -> "list[float]":
+        for key in ("budget_bytes", "budget_fractions"):
+            if key not in payload:
+                continue
+            raw = payload[key]
+            if not isinstance(raw, (list, tuple)) or not raw:
+                raise ServiceError(
+                    f"{key!r} must be a non-empty list, got {raw!r}"
+                )
+            budgets = [self._number(key, value) for value in raw]
+            if key == "budget_fractions":
+                total = self.database.total_data_bytes()
+                budgets = [total * fraction for fraction in budgets]
+            return budgets
+        raise ServiceError(
+            "sweep payload needs 'budget_bytes' or 'budget_fractions'"
+        )
+
+    @staticmethod
+    def _seed(value) -> int:
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ServiceError(f"seed must be an integer, got {value!r}")
+        return value
+
+    def _sweep_seeds(self, payload: dict) -> "list[int] | None":
+        seeds = payload.get("seeds")
+        if not seeds:
+            return None
+        if not isinstance(seeds, (list, tuple)):
+            raise ServiceError(f"'seeds' must be a list, got {seeds!r}")
+        return [self._seed(seed) for seed in seeds]
+
     def _advisor_extra(self, payload: dict) -> dict:
-        extra = dict(payload.get("options", {}))
+        extra = payload.get("options", {})
+        if not isinstance(extra, dict):
+            raise ServiceError(f"'options' must be an object, got {extra!r}")
+        extra = dict(extra)
         unknown = set(extra) - _REQUEST_OPTION_FIELDS
         if unknown:
             raise ServiceError(
@@ -227,8 +270,6 @@ class ServiceContext:
                 f"{sorted(_REQUEST_OPTION_FIELDS)}"
             )
         if "algorithm" in extra:
-            # Validate at submission time: an unknown algorithm must
-            # 400 with the valid set, not 500 out of a running lane.
             name = extra["algorithm"]
             if not isinstance(name, str) or name not in algorithms.names():
                 raise ServiceError(
@@ -248,6 +289,28 @@ class ServiceContext:
             ) from None
         return variant
 
+    def _run_inputs(self, payload: dict) -> "tuple[str, int, AdvisorOptions]":
+        """(variant, sampling seed, advisor options) of a tune/retune."""
+        variant = self._variant(payload)
+        seed = self._seed(payload.get("seed", DEFAULT_SAMPLE_SEED))
+        options = get_variant(variant).advisor_options(
+            self._budget_bytes(payload), **self._advisor_extra(payload)
+        )
+        return variant, seed, options
+
+    def validate(self, kind: str, payload: dict) -> None:
+        """Submission-time check of a ``tune``/``sweep``/``retune``
+        payload: budget(s), variant, advisor options and numeric
+        seed(s).  Raises :class:`ServiceError` (HTTP 400) so a bad job
+        is never admitted or journaled."""
+        if kind == "sweep":
+            self._variant(payload)
+            self._advisor_extra(payload)
+            self._sweep_budgets(payload)
+            self._sweep_seeds(payload)
+        else:
+            self._run_inputs(payload)
+
     def tune_signature(self, payload: dict) -> str:
         """Wiring signature of a tune request: every input that can
         move a *worker-side* float — variant, sampling seed, and all
@@ -259,9 +322,33 @@ class ServiceContext:
         return json.dumps({
             "context": self.name,
             "variant": self._variant(payload),
-            "seed": int(payload.get("seed", DEFAULT_SAMPLE_SEED)),
+            "seed": self._seed(payload.get("seed", DEFAULT_SAMPLE_SEED)),
             "options": self._advisor_extra(payload),
         }, sort_keys=True)
+
+    # ------------------------------------------------------------------
+    # request executors (synchronous; run on the service executor)
+    # ------------------------------------------------------------------
+    def _advisor_run(self, payload: dict, engine: ParallelEngine,
+                     progress, workload: Workload,
+                     previous=None, **fork) -> "tuple[AdvisorResult, dict]":
+        """One :func:`advisor_run` over a fork view of the frozen
+        registration-time estimates, plus the response envelope."""
+        variant, seed, options = self._run_inputs(payload)
+        result = advisor_run(
+            self.database, workload, options,
+            stats=self.stats, seed=seed,
+            estimates=(
+                self._tune_estimates.fork_view()
+                if self._tune_estimates is not None else None
+            ),
+            previous=previous, engine=engine, progress=progress, **fork,
+        )
+        out = serialize_result(result)
+        out["context"] = self.name
+        out["variant"] = variant
+        out["seed"] = seed
+        return result, out
 
     def run_tune(
         self,
@@ -272,55 +359,15 @@ class ServiceContext:
         stale_ok: bool = False,
         progress=None,
     ) -> dict:
-        """One advisor run, isolated exactly like a sweep unit: fresh
-        seeded estimator, fork views of the persistent caches.
+        """One cold advisor run.
 
         ``fork_slot``/``stale_ok`` come from the scheduler's warm-
         affinity decision; ``progress`` threads the job layer's event
         hook into the advisor (one event per greedy step)."""
-        budget = self._budget_bytes(payload)
-        variant = self._variant(payload)
-        seed = int(payload.get("seed", DEFAULT_SAMPLE_SEED))
-        options = get_variant(variant).advisor_options(
-            budget, **self._advisor_extra(payload)
-        )
-        estimator = SizeEstimator(
-            self.database,
-            stats=self.stats,
-            manager=SampleManager(self.database, seed=seed),
-            e=options.e,
-            q=options.q,
-            cache=(
-                self._tune_estimates.fork_view()
-                if self._tune_estimates is not None else None
-            ),
-        )
-        cost_view = (
-            self.cost_cache.fork_view()
-            if self.cost_cache is not None else None
-        )
-        advisor = TuningAdvisor(
-            self.database,
-            self.workload,
-            options,
-            estimator=estimator,
-            stats=self.stats,
-            engine=engine,
-            cost_cache=cost_view,
-            progress=progress,
-            fork_context=fork_slot,
-            fork_stale_ok=stale_ok,
-        )
-        result = advisor.run()
-        if cost_view is not None:
-            # Cost entries replay identical arithmetic by construction
-            # (sized keys), so warming later requests is result-neutral.
-            self.cost_cache.absorb(cost_view)
-        out = serialize_result(result)
-        out["context"] = self.name
-        out["variant"] = variant
-        out["seed"] = seed
-        return out
+        return self._advisor_run(
+            payload, engine, progress, self.workload,
+            fork_context=fork_slot, fork_stale_ok=stale_ok,
+        )[1]
 
     # ------------------------------------------------------------------
     # continuous tuning (the recurring retune job kind)
@@ -377,11 +424,8 @@ class ServiceContext:
         ``carried`` is the job tier's latest completed configuration
         for this context as ``(index_specs, generation)``; it seeds
         ``from_config`` when the submission did not pin one itself.
-        Bad budgets, variants, options, index specs, and drift specs
-        all fail here (HTTP 400), never out of a running lane."""
-        self._budget_bytes(payload)
-        self._variant(payload)
-        self._advisor_extra(payload)
+        Bad index specs and drift specs fail here (HTTP 400), never out
+        of a running lane; :meth:`validate` checks the rest."""
         self._drift_workload(payload)
         if payload.get("from_config"):
             self._previous_configuration(payload)
@@ -397,94 +441,24 @@ class ServiceContext:
 
     def run_retune(self, payload: dict, engine: ParallelEngine,
                    progress=None) -> dict:
-        """One incremental retune, isolated exactly like
-        :meth:`run_tune`: fresh seeded estimator, fork views of the
-        persistent caches.  The previous configuration comes from the
-        payload (``from_config``, resolved at submission), the search
-        seeds the delta reference there, proposes drops of decayed
-        structures, then greedy re-fills; the result carries a
-        ``retune`` section (generation, diff, drift) and the event
-        stream gets ``dropped``/``added``/``config_changed`` events."""
-        budget = self._budget_bytes(payload)
-        variant = self._variant(payload)
-        seed = int(payload.get("seed", DEFAULT_SAMPLE_SEED))
-        options = get_variant(variant).advisor_options(
-            budget, **self._advisor_extra(payload)
-        )
+        """One incremental retune, run exactly like :meth:`run_tune`
+        but from the payload's previous configuration (``from_config``,
+        resolved at submission): the search seeds the delta reference
+        there, drops decayed structures, then greedy re-fills.  Without
+        one (a first generation) it is the same cold run as
+        :meth:`run_tune`.  The result carries a ``retune`` section
+        (generation, diff, drift) and the event stream gets
+        ``dropped``/``added``/``config_changed`` events."""
         workload, drift_info = self._drift_workload(payload)
         previous = self._previous_configuration(payload)
-        estimator = SizeEstimator(
-            self.database,
-            stats=self.stats,
-            manager=SampleManager(self.database, seed=seed),
-            e=options.e,
-            q=options.q,
-            cache=(
-                self._tune_estimates.fork_view()
-                if self._tune_estimates is not None else None
-            ),
-        )
-        cost_view = (
-            self.cost_cache.fork_view()
-            if self.cost_cache is not None else None
-        )
-        if previous is None:
-            # Cold first generation: a plain advisor run (nothing to
-            # drop from yet), identical to run_tune's wiring.
-            advisor = TuningAdvisor(
-                self.database,
-                workload,
-                options,
-                estimator=estimator,
-                stats=self.stats,
-                engine=engine,
-                cost_cache=cost_view,
-                progress=progress,
-            )
-            result = advisor.run()
-            diff_base = self.base_config
-        else:
-            result = retune_run(
-                self.database,
-                workload,
-                previous,
-                options,
-                estimator=estimator,
-                stats=self.stats,
-                engine=engine,
-                cost_cache=cost_view,
-                progress=progress,
-            )
-            diff_base = previous
-        if cost_view is not None:
-            self.cost_cache.absorb(cost_view)
-        dropped, added, kept = configuration_diff(
-            diff_base, result.configuration
+        result, out = self._advisor_run(
+            payload, engine, progress, workload=workload, previous=previous,
         )
         generation = payload.get("generation", 1)
-        if progress is not None:
-            if dropped:
-                progress({
-                    "event": "dropped",
-                    "indexes": [ix.display_name() for ix in dropped],
-                })
-            if added:
-                progress({
-                    "event": "added",
-                    "indexes": [ix.display_name() for ix in added],
-                })
-            progress({
-                "event": "config_changed",
-                "changed": bool(dropped or added),
-                "generation": generation,
-                "dropped": len(dropped),
-                "added": len(added),
-                "kept": len(kept),
-            })
-        out = serialize_result(result)
-        out["context"] = self.name
-        out["variant"] = variant
-        out["seed"] = seed
+        dropped, added, kept = report_diff(
+            previous or self.base_config, result.configuration,
+            generation, progress,
+        )
         out["retune"] = {
             "generation": generation,
             "config_changed": bool(dropped or added),
@@ -501,21 +475,11 @@ class ServiceContext:
         """A whole budget sweep / seed ablation as one unit (the sweep
         module owns per-unit isolation)."""
         variant = self._variant(payload)
-        total = self.database.total_data_bytes()
-        if "budget_bytes" in payload:
-            budgets = [float(b) for b in payload["budget_bytes"]]
-        elif "budget_fractions" in payload:
-            budgets = [total * float(f) for f in payload["budget_fractions"]]
-        else:
-            raise ServiceError(
-                "sweep payload needs 'budget_bytes' or 'budget_fractions'"
-            )
-        seeds = payload.get("seeds")
-        sweep = _run_sweep(
+        sweep = run_sweep(
             self.database,
             self.workload,
-            budgets,
-            seeds=[int(s) for s in seeds] if seeds else None,
+            self._sweep_budgets(payload),
+            seeds=self._sweep_seeds(payload),
             variant=variant,
             stats=self.stats,
             engine=engine,
@@ -538,7 +502,6 @@ class ServiceContext:
                 "workers": sweep.workers,
                 "engine_stats": sweep.engine_stats,
                 "estimation_cache_stats": sweep.estimation_cache_stats,
-                "cost_cache_stats": sweep.cost_cache_stats,
                 "delta_stats": sweep.delta_stats,
             },
         }

@@ -6,7 +6,7 @@ This module is the persistence layer underneath it: an append-only
 JSONL journal in ``<cache_dir>/jobs-journal/`` that records every
 submission, state transition, seq-numbered progress event, and result,
 so the job tier survives a ``kill -9`` exactly like the persistent
-``EstimationCache``/``CostCache`` next to it.
+``EstimationCache`` next to it.
 
 Layout::
 

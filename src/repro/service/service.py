@@ -6,7 +6,7 @@ serving layer for the reproduction: an asyncio :class:`AdvisorService`
 accepting concurrent ``tune`` / ``sweep`` / ``estimate_size`` /
 ``whatif_cost`` requests against registered schema+workload contexts,
 backed by the existing batched APIs, the persistent
-:class:`EstimationCache`/:class:`CostCache`, and **one** shared
+:class:`EstimationCache`, and **one** shared
 keep-alive :class:`ParallelEngine` pool.
 
 Three properties the stress tests pin down:
@@ -14,8 +14,8 @@ Three properties the stress tests pin down:
 * **Determinism.**  Requests execute strictly one at a time *per
   context* (each context's scheduler lane is a single worker thread),
   and every tuning run is isolated exactly like a sweep unit (fresh
-  seeded estimator, cache fork views), so responses are byte-identical
-  to sequential :meth:`TuningAdvisor.run` calls at any concurrency
+  seeded estimator over an estimate-cache fork view), so responses are
+  byte-identical to sequential in-process runs at any concurrency
   level — the answer a client gets can never depend on what other
   clients are doing, while runs on different contexts overlap.
 
@@ -51,7 +51,7 @@ import os
 
 from repro.catalog.schema import Database
 from repro.errors import BackpressureError, ServiceError
-from repro.parallel.cache import CostCache, EstimationCache
+from repro.parallel.cache import EstimationCache
 from repro.parallel.engine import ParallelEngine
 from repro.service.context import ServiceContext
 from repro.service.faults import (
@@ -61,7 +61,7 @@ from repro.service.faults import (
     install,
     install_from_env,
 )
-from repro.service.jobs import JobManager, JobRecord
+from repro.service.jobs import JOB_KINDS, JobManager, JobRecord
 from repro.service.journal import JobJournal
 from repro.service.scheduler import ContextLane, ContextScheduler
 from repro.service.wire import validate_job_payload, validate_request
@@ -90,8 +90,8 @@ class AdvisorService:
     Args:
         workers: pool size of the shared :class:`ParallelEngine` every
             advisor run borrows (0 = one per CPU, 1 = sequential).
-        cache_dir: directory for the persistent size-estimate and
-            what-if cost caches, shared by every context and request.
+        cache_dir: directory for the persistent size-estimate cache,
+            shared by every context and request, and the job journal.
         max_pending: bound of the request queue (backpressure beyond).
         max_context_workers: scheduler lane cap — at most this many
             contexts execute concurrently; beyond it contexts share
@@ -151,9 +151,6 @@ class AdvisorService:
         self.cache_dir = cache_dir
         self.estimation_cache = (
             EstimationCache(cache_dir) if cache_dir is not None else None
-        )
-        self.cost_cache = (
-            CostCache(cache_dir) if cache_dir is not None else None
         )
         self.max_pending = max_pending
         self.max_context_workers = max_context_workers
@@ -223,7 +220,6 @@ class AdvisorService:
             name, database, workload,
             stats=stats,
             estimation_cache=self.estimation_cache,
-            cost_cache=self.cost_cache,
             cache_dir=self.cache_dir,
             e=e, q=q,
         )
@@ -345,8 +341,6 @@ class AdvisorService:
     def save_caches(self) -> None:
         if self.estimation_cache is not None:
             self.estimation_cache.save()
-        if self.cost_cache is not None:
-            self.cost_cache.save()
 
     async def __aenter__(self) -> "AdvisorService":
         await self.start()
@@ -607,8 +601,14 @@ class AdvisorService:
         # Same closed schema as POST /v1/jobs, minus the envelope: a
         # payload smuggling routing fields would skew journaled re-runs
         # and warm-affinity signatures, so it fails at submission.
-        validate_job_payload(kind, dict(payload or {}))
-        return self.jobs.submit(kind, context, dict(payload or {}),
+        payload = dict(payload or {})
+        validate_job_payload(kind, payload)
+        # So do bad budgets, variants, options and seeds (HTTP 400): a
+        # job is never admitted or journaled only to fail in a lane.
+        # Unknown kinds and contexts are the job manager's to reject.
+        if kind in JOB_KINDS and context in self.contexts:
+            self.contexts[context].validate(kind, payload)
+        return self.jobs.submit(kind, context, payload,
                                 tenant=tenant, priority=priority,
                                 deadline_s=deadline_s, retries=retries,
                                 retry_backoff=retry_backoff)
@@ -616,14 +616,12 @@ class AdvisorService:
     @property
     def degraded(self) -> bool:
         """True while any disk-pressure degradation is active: the job
-        journal is buffering in memory, or a persistent cache's last
+        journal is buffering in memory, or the estimate cache's last
         save failed with ``ENOSPC``/``EIO``."""
-        if self.jobs.degraded:
-            return True
-        for cache in (self.estimation_cache, self.cost_cache):
-            if cache is not None and getattr(cache, "degraded", False):
-                return True
-        return False
+        return self.jobs.degraded or (
+            self.estimation_cache is not None
+            and self.estimation_cache.degraded
+        )
 
     def job(self, job_id: str) -> JobRecord:
         return self.jobs.get(job_id)
@@ -663,9 +661,5 @@ class AdvisorService:
             "estimation_cache": (
                 self.estimation_cache.stats()
                 if self.estimation_cache is not None else {}
-            ),
-            "cost_cache": (
-                self.cost_cache.stats()
-                if self.cost_cache is not None else {}
             ),
         }

@@ -37,10 +37,10 @@ coordinator's boot-time recovery (:meth:`JobManager.recover`) breaks
 it and marks the job ``failed``/``recovered``, exactly like one of its
 own interrupted runs.
 
-The persistent ``EstimationCache``/``CostCache`` in the shared
-``--cache-dir`` are the fleet's shared state: workers warm them for
-each other (last-writer-wins JSON merge on save), never for
-correctness — every run is deterministic with or without warm caches.
+The persistent ``EstimationCache`` in the shared ``--cache-dir`` is
+the fleet's shared state: workers warm it for each other
+(last-writer-wins JSON merge on save), never for correctness — every
+run is deterministic with or without a warm cache.
 """
 
 from __future__ import annotations

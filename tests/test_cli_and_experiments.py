@@ -24,7 +24,7 @@ class TestCLI:
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert "2 runs" in out
-        assert "what-if cost cache" in out
+        assert "size-estimate cache" in out
         # Warm rerun through the same cache directory.
         assert main(argv) == 0
         warm_out = capsys.readouterr().out

@@ -14,10 +14,9 @@ import random
 
 import pytest
 
-from repro.advisor.advisor import AdvisorOptions, TuningAdvisor, tune
-from repro.api import run_sweep
+from repro.advisor.advisor import AdvisorOptions, TuningAdvisor
+from repro.api import run_sweep, tune
 from repro.datasets.sales import sales_database, sales_workload
-from repro.parallel.cache import CostCache
 from repro.parallel.engine import fork_available
 from repro.physical.configuration import Configuration
 from repro.physical.index_def import IndexDef
@@ -266,78 +265,6 @@ class TestUpdateHeavyIncremental:
             _random.Random(seed).shuffle(shuffled)
             assert math.fsum(c[0] for c in shuffled) == full.io
             assert math.fsum(c[1] for c in shuffled) == full.cpu
-
-
-class TestColdAndWarmCostCache:
-    @pytest.mark.parametrize("seed", [21, 22])
-    def test_equivalence_through_persistent_cache(
-        self, delta_inputs, tmp_path, seed
-    ):
-        """Cold stores, warm replays (plan costs included): delta totals
-        stay equal to full recosting in both cache states."""
-        db, wl, budget = delta_inputs
-        stats = DatabaseStats(db)
-
-        def rig(cache: CostCache):
-            estimator = SizeEstimator(db, stats=stats)
-            advisor = TuningAdvisor(
-                db, wl, AdvisorOptions(budget_bytes=budget),
-                estimator=estimator, stats=stats, cost_cache=cache,
-            )
-            return advisor.whatif, advisor.base_config
-
-        whatif, base = rig(CostCache(tmp_path))
-        pool = [
-            IndexDef("sales", (db.table("sales").column_names[i],),
-                     kind=IndexKind.SECONDARY)
-            for i in range(3)
-        ]
-        configs = _random_configs(base, pool, seed, 25)
-
-        delta = whatif.delta_coster(wl)
-        delta.rebase(base)
-        cold = delta.batch(configs)
-        whatif.cost_cache.save()
-
-        # Warm: a fresh optimizer + coster over the persisted entries.
-        warm_whatif, warm_base = rig(CostCache(tmp_path))
-        warm_delta = warm_whatif.delta_coster(wl)
-        warm_delta.rebase(warm_base)
-        warm = warm_delta.batch(configs)
-        assert warm == cold
-
-        # And the ground truth, uncached.
-        bare_whatif, bare_base = rig(None)
-        assert bare_whatif.workload_cost_batch(wl, configs) == cold
-
-    def test_plan_costs_survive_persistence(self, delta_inputs, tmp_path):
-        db, wl, budget = delta_inputs
-        stats = DatabaseStats(db)
-        estimator = SizeEstimator(db, stats=stats)
-        advisor = TuningAdvisor(
-            db, wl, AdvisorOptions(budget_bytes=budget),
-            estimator=estimator, stats=stats,
-            cost_cache=CostCache(tmp_path),
-        )
-        whatif = advisor.whatif
-        query = wl.queries[0].statement
-        breakdown, plan_costs = whatif.cost_with_plans(
-            query, advisor.base_config
-        )
-        assert plan_costs == tuple(p.cost for p in breakdown.plans)
-        whatif.cost_cache.save()
-
-        replayer = TuningAdvisor(
-            db, wl, AdvisorOptions(budget_bytes=budget),
-            estimator=SizeEstimator(db, stats=stats), stats=stats,
-            cost_cache=CostCache(tmp_path),
-        )
-        replayed, replayed_costs = replayer.whatif.cost_with_plans(
-            query, replayer.base_config
-        )
-        assert replayed.total == breakdown.total
-        assert replayed.plans == ()  # plans are not persisted...
-        assert replayed_costs == plan_costs  # ...but their costs are
 
 
 class TestAdvisorIdentity:

@@ -4,7 +4,8 @@ byte-identical advisor recommendations against the sequential path."""
 
 import pytest
 
-from repro.advisor import AdvisorOptions, TuningAdvisor, tune
+from repro.advisor import AdvisorOptions, TuningAdvisor
+from repro.api import tune
 from repro.datasets import sales_database, sales_workload
 from repro.parallel import ParallelEngine
 from repro.parallel import engine as engine_mod

@@ -5,14 +5,13 @@ algorithm's ``best_so_far`` cancel-early contract.
 Determinism is the load-bearing invariant: every registered algorithm
 must produce byte-identical recommendations run-to-run, across
 PYTHONHASHSEED values, at workers 1 vs 2, and against cold vs warm
-persistent cost caches — the same contract the golden canaries pin for
+persistent estimate caches — the same contract the golden canaries pin for
 the default search, extended to the whole registry.
 """
 
 import asyncio
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import pytest
@@ -23,13 +22,13 @@ from repro.advisor import (
     variant_names,
     variants,
 )
-from repro.advisor.advisor import AdvisorOptions, tune
+from repro.advisor.advisor import AdvisorOptions
 from repro.advisor.algorithms import (
     GreedyBacktrackAlgorithm,
     SelectionAlgorithm,
 )
 from repro.advisor.enumeration import Enumerator
-from repro.api import run_sweep
+from repro.api import run_sweep, tune
 from repro.datasets.sales import sales_database, sales_workload
 from repro.errors import AdvisorError, JobCancelled, ServiceError
 from repro.service import AdvisorService, describe_algorithms
@@ -142,8 +141,8 @@ class TestDeterminismAndBudget:
         warm = tune(db, wl, budget, variant="dtac-none",
                     algorithm=algorithm, cache_dir=cache_dir)
         assert _digest(cold) == _digest(warm)
-        # The second run actually hit the persistent cost cache.
-        assert warm.cost_cache_stats.get("hits", 0) > 0
+        # The second run actually hit the persistent estimate cache.
+        assert warm.cache_stats.get("hits", 0) > 0
 
     @pytest.mark.parametrize("algorithm", ALL_ALGORITHMS)
     def test_delta_costing_does_not_move_results(self, inputs, algorithm):
@@ -210,33 +209,6 @@ class TestVariantRegistry:
         assert options.budget_bytes == 123.0
         assert options.workers == 2
         assert options.algorithm == "ibm"
-
-    def test_legacy_variants_mapping_warns(self):
-        """``VARIANTS`` survives as a deprecated module attribute
-        synthesizing the old name->options dict from the registry."""
-        from repro.advisor import advisor as advisor_module
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            mapping = advisor_module.VARIANTS
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        )
-        assert set(mapping) == set(variant_names())
-        assert mapping["dtac-both"] == dict(
-            get_variant("dtac-both").options
-        )
-
-    def test_package_level_variants_access_forwards(self):
-        import repro.advisor as advisor_pkg
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            mapping = advisor_pkg.VARIANTS
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        )
-        assert set(mapping) == set(variant_names())
 
 
 def _run_with_hashseed(script: str, hashseed: str) -> str:

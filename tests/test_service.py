@@ -484,36 +484,6 @@ class TestLifecycle:
 
 
 class TestCacheSharing:
-    def test_cost_cache_warms_across_requests(self, service_inputs,
-                                              tmp_path):
-        """A second identical tune (after the first completed, so no
-        coalescing) replays what-if costs from the absorbed cache — and
-        still answers byte-identically."""
-        db, wl = service_inputs
-
-        async def scenario():
-            service = await _make_service(
-                db, wl, cache_dir=str(tmp_path)
-            )
-            try:
-                first = await service.tune("sales", **TUNE_A)
-                absorbed = len(service.cost_cache)
-                second = await service.tune("sales", **TUNE_A)
-                return first, second, absorbed, service.stats()
-            finally:
-                await service.stop()
-
-        first, second, absorbed, stats = run(scenario())
-        assert second["result"] == first["result"]
-        # The first run's cost entries were absorbed into the parent...
-        assert absorbed > 0
-        # ...so the second run's fork view replays instead of recosting.
-        assert first["meta"]["cost_cache_stats"]["hits"] == 0
-        assert second["meta"]["cost_cache_stats"]["hits"] > 0
-        assert stats["coalesced"]["tune"] == 0
-        # The caches were persisted on stop.
-        assert (tmp_path / "costs.json").exists()
-
     def test_cached_tune_identical_to_uncached(self, service_inputs,
                                                tmp_path):
         db, wl = service_inputs

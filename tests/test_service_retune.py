@@ -3,8 +3,9 @@
 The contract: ``retune`` jobs carry the previous configuration forward
 across submissions (resolved into the journaled payload at submission,
 so re-runs are self-contained); per-retune ``dropped``/``added``/
-``config_changed`` events stream; invalid drift/from_config payloads
-fail at submission; and every ``/v1`` body is validated against the
+``config_changed`` events stream; invalid tune/sweep/retune payloads
+fail at submission; tune and retune jobs answer exactly what an
+in-process ``Session`` returns; and every ``/v1`` body is validated against the
 closed wire schema while every ``/v1`` response is stamped with
 ``schema_version``.
 """
@@ -13,10 +14,14 @@ import asyncio
 
 import pytest
 
+from repro.advisor.advisor import default_base_configuration
+from repro.api import Session
 from repro.datasets.sales import sales_database, sales_workload
 from repro.errors import ReproError, ServiceError
 from repro.service import AdvisorService
 from repro.service import wire
+from repro.service.context import parse_index_spec, serialize_result
+from repro.workload.drift import DriftSpec, drift_phase
 
 #: a drift spec extreme enough that phase 0 -> 2 strands structure(s).
 DRIFT = dict(hot_fraction=0.2, hot_weight=20.0, cold_weight=0.01)
@@ -127,6 +132,39 @@ class TestRetuneJobs:
         failures = run(scenario())
         assert len(failures) == 5
 
+    def test_invalid_tune_and_sweep_payloads_fail_at_submission(
+        self, service_inputs
+    ):
+        """Tune and sweep jobs get the submission-time check retune
+        jobs have: a bad budget, variant, option or seed raises
+        ServiceError (HTTP 400) and no job is admitted or journaled."""
+        bad = [
+            ("tune", dict(RETUNE, options={"algorithm": "nope"})),
+            ("tune", dict(RETUNE, options={"bogus": 1})),
+            ("tune", dict(RETUNE, variant="nope")),
+            ("tune", {"variant": "dtac-none"}),
+            ("tune", dict(RETUNE, budget_fraction="lots")),
+            ("tune", dict(RETUNE, seed="x")),
+            ("sweep", {"budget_fractions": [0.1], "variant": "nope"}),
+            ("sweep", {"budget_fractions": [0.1],
+                       "options": {"algorithm": "nope"}}),
+            ("sweep", {"variant": "dtac-none"}),
+            ("sweep", {"budget_fractions": []}),
+            ("sweep", {"budget_fractions": [0.1], "seeds": ["x"]}),
+        ]
+
+        async def scenario():
+            service = await _make_service(service_inputs)
+            try:
+                for kind, payload in bad:
+                    with pytest.raises(ServiceError):
+                        service.submit_job(kind, "sales", payload)
+                return service.jobs.list_jobs()
+            finally:
+                await service.stop()
+
+        assert run(scenario()) == []
+
     def test_retune_is_not_a_request_kind(self, service_inputs):
         """Retune is stateful and must never coalesce with identical
         concurrent requests — it is job-only."""
@@ -140,6 +178,56 @@ class TestRetuneJobs:
                 await service.stop()
 
         run(scenario())
+
+
+class TestJobsMatchSession:
+    def test_tune_and_retune_jobs_match_in_process_session(
+        self, service_inputs
+    ):
+        """A service tune job and a retune job (``from_config`` plus
+        ``drift``) each answer exactly what an in-process
+        :class:`Session` run on the same inputs returns."""
+        db, wl = service_inputs
+        specs = [{"table": "sales", "key_columns": ["sa_date"],
+                  "method": "page"}]
+        retune = dict(RETUNE, from_config=specs,
+                      drift={"phase": 2, **DRIFT})
+
+        async def scenario():
+            service = await _make_service(service_inputs)
+            try:
+                done = []
+                for kind, payload in (("tune", RETUNE), ("retune", retune)):
+                    record = service.submit_job(kind, "sales", dict(payload))
+                    _ = [e async for e in service.job_events(record.id)]
+                    done.append(service.jobs.get(record.id))
+                return done
+            finally:
+                await service.stop()
+
+        tune_job, retune_job = run(scenario())
+        assert tune_job.state == retune_job.state == "done"
+
+        cold = Session(db, wl, variant="dtac-none").tune(
+            budget_fraction=RETUNE["budget_fraction"]
+        )
+        assert tune_job.result["result"] == serialize_result(cold)["result"]
+
+        previous = default_base_configuration(db)
+        for spec in specs:
+            previous = previous.add(parse_index_spec(db, spec))
+        drifted = drift_phase(wl, DriftSpec.from_dict(DRIFT), 2)
+        delta = Session(
+            db, drifted, variant="dtac-none", configuration=previous
+        ).retune(budget_fraction=RETUNE["budget_fraction"])
+        assert retune_job.result["result"] == \
+            serialize_result(delta.result)["result"]
+        assert retune_job.result["retune"]["dropped"] == [
+            ix.display_name() for ix in delta.dropped
+        ]
+        assert retune_job.result["retune"]["added"] == [
+            ix.display_name() for ix in delta.added
+        ]
 
 
 class TestWireSchema:

@@ -106,11 +106,6 @@ class TestSweepCaches:
             db, wl, budgets, seeds=SEEDS[:1], variant=VARIANT,
             cache_dir=tmp_path,
         )
-        # Cold sweep units see the empty pre-sweep snapshot: no hits,
-        # so the cold sweep equals an uncached one by construction.
-        assert cold.cost_cache_stats["hits"] == 0
-        assert cold.cost_cache_stats["stores"] > 0
-        assert (tmp_path / "costs.json").exists()
         assert (tmp_path / "estimates.json").exists()
 
         warm = run_sweep(
@@ -119,8 +114,8 @@ class TestSweepCaches:
         )
         for cold_run, warm_run in zip(cold.runs, warm.runs):
             _assert_same_result(cold_run.result, warm_run.result)
-        # The acceptance bar: a warm sweep skips costing almost entirely.
-        assert warm.cost_cache_stats["hit_rate"] > 0.9
+        # The acceptance bar: a warm sweep skips estimation almost
+        # entirely.
         assert warm.estimation_cache_stats["hit_rate"] > 0.9
 
     @pytest.mark.skipif(not fork_available(), reason="needs fork")
@@ -139,7 +134,6 @@ class TestSweepCaches:
             workers=2, cache_dir=tmp_path,
         )
         assert cold.engine_stats["parallel_maps"] == 1
-        assert (tmp_path / "costs.json").exists()
 
         warm = run_sweep(
             db, wl, budgets, seeds=SEEDS, variant=VARIANT,
@@ -147,9 +141,8 @@ class TestSweepCaches:
         )
         for cold_run, warm_run in zip(cold.runs, warm.runs):
             _assert_same_result(cold_run.result, warm_run.result)
-        # Every worker's entries reached disk: the warm rerun costs
+        # Every worker's entries reached disk: the warm rerun estimates
         # nothing — no run's save may have clobbered a sibling's.
-        assert warm.cost_cache_stats["hit_rate"] == 1.0
         assert warm.estimation_cache_stats["hit_rate"] == 1.0
 
     def test_cold_cached_sweep_matches_uncached(self, sweep_inputs, tmp_path):
@@ -168,8 +161,9 @@ class TestSweepCaches:
         self, sweep_inputs, tmp_path
     ):
         """A warm rerun under a *different* sampling seed must not replay
-        the first seed's costs: its size estimates differ, and the
-        sized-structure keys diverge with them."""
+        the first seed's estimates (the only persisted entries since
+        costing stopped being persisted): the sample fingerprint embeds
+        the seed, so the keys diverge with it."""
         db, wl, budgets = sweep_inputs
         run_sweep(db, wl, budgets[:1], seeds=SEEDS[:1], variant=VARIANT,
                   cache_dir=tmp_path)
@@ -177,4 +171,4 @@ class TestSweepCaches:
             db, wl, budgets[:1], seeds=(DEFAULT_SAMPLE_SEED + 99,),
             variant=VARIANT, cache_dir=tmp_path,
         )
-        assert other_seed.cost_cache_stats["hit_rate"] == 0.0
+        assert other_seed.estimation_cache_stats["hit_rate"] == 0.0

@@ -126,17 +126,17 @@ class AnytimeGreedyAlgorithm(SelectionAlgorithm):
                 [candidate for _ix, candidate in moves], threshold
             )
             best = None  # (score, cost, config, name)
+            current_size = self.consumed(current)
             for (ix, candidate), move_cost in zip(moves, costs):
                 if move_cost is None:
                     continue
                 delta_cost = current_cost - move_cost
                 if delta_cost <= 0:
                     continue
-                if not self.fits(candidate):
+                size = self.consumed(candidate)
+                if not self.within_budget(size):
                     continue
-                delta_size = (
-                    self.consumed(candidate) - self.consumed(current)
-                )
+                delta_size = size - current_size
                 score = self._score(delta_cost, delta_size)
                 if best is None or score > best[0]:
                     best = (score, move_cost, candidate, ix.display_name())

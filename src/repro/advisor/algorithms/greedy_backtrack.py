@@ -126,14 +126,16 @@ class GreedyBacktrackAlgorithm(SelectionAlgorithm):
         )
         scored: list[tuple[float, float, Configuration, str]] = []
         best_any = None  # (delta_cost, config)
+        base_size = self.consumed(base)
         for (ix, candidate), cost in zip(moves, costs):
             if cost is None:
                 continue
             delta_cost = base_cost - cost
             if delta_cost <= 0:
                 continue
-            delta_size = self.consumed(candidate) - self.consumed(base)
-            if self.fits(candidate):
+            size = self.consumed(candidate)
+            delta_size = size - base_size
+            if self.within_budget(size):
                 scored.append((
                     self._score(delta_cost, delta_size),
                     cost,
@@ -200,14 +202,16 @@ class GreedyBacktrackAlgorithm(SelectionAlgorithm):
                 costs = self._candidate_costs(
                     [candidate for _ix, candidate in moves], threshold
                 )
+            current_size = self.consumed(current)
             for (ix, candidate), cost in zip(moves, costs):
                 if cost is None:
                     continue
                 delta_cost = current_cost - cost
                 if delta_cost <= 0:
                     continue
-                delta_size = self.consumed(candidate) - self.consumed(current)
-                if self.fits(candidate):
+                size = self.consumed(candidate)
+                delta_size = size - current_size
+                if self.within_budget(size):
                     score = self._score(delta_cost, delta_size)
                     if best_feasible is None or score > best_feasible[0]:
                         best_feasible = (

@@ -5,7 +5,7 @@ The greedy search costs ``config ∪ {candidate}`` for every pool member at
 every step, yet adding one index only changes the plans of statements
 that touch its table (exactly what
 :meth:`WhatIfOptimizer._relevant_structures` computes).  This module
-exploits that three ways, without moving a single float:
+exploits that four ways, without moving a single float:
 
 * **Statement-level memoization.**  Per-statement weighted cost terms
   are memoized on the statement's *relevant-structure subset signature*
@@ -28,12 +28,23 @@ exploits that three ways, without moving a single float:
   (statement, candidate, base structure) — and when the probe *strictly
   loses* against the chosen plan's cost, reuses the reference term as
   the exact new term.  Strictness matters: on a tie the optimizer's
-  first-minimum tie-break could switch plans, so ties fall through to a
-  full recost.  When the probe *strictly wins* (a unique strict
+  first-minimum tie-break could switch plans, so a tie reruns that
+  table's plan search.  When the probe *strictly wins* (a unique strict
   minimum), the statement total is rebuilt from the reference's chosen
   plans with the winner patched in, replaying ``_cost_select``'s exact
   accumulation — the same floats in the same order — so even winning
   candidates skip the all-tables x all-structures recost.
+
+* **MV composition.**  ``_cost_select`` answers a SELECT with the best
+  matching MV scan when it is strictly cheaper than the plan built from
+  the non-MV structures, i.e. its total is ``min(best matching MV scan,
+  base plan total)``.  Both operands are kept per statement: the probes
+  and plan patches above work on the base plans alone, and the total is
+  composed with the MV term afterwards.  MVs that do not match the
+  statement are invisible to it; adding or removing a matching one only
+  recomputes the MV term (sizing exactly the configuration's matching
+  MVs, in ``_try_mv_plan``'s order).  UPDATE/DELETE find-probes compose
+  the same way, so only the cold rebase recosts statements in full.
 
 * **Bound-based candidate pruning.**  Per statement the coster
   maintains a lower bound — the cheapest cost any enumerable
@@ -114,7 +125,7 @@ class DeltaWorkloadCoster:
 
     Args:
         whatif: the what-if optimizer providing full statement costings
-            (with its in-memory and persistent caches) plus the sizes,
+            (with its in-memory signature cache) plus the sizes,
             stats and cost constants the probes must match exactly.
         workload: the weighted workload being tuned; the statement order
             fixes the float accumulation order of every total.
@@ -189,19 +200,20 @@ class DeltaWorkloadCoster:
                 )
             }
 
-        # Reference state: per-statement signatures / weighted terms /
-        # raw totals / chosen per-table plan costs / chosen plans for
-        # the reference configuration.
+        # Reference state: per-statement signatures, memo entries and
+        # weighted terms for the reference configuration.
         self._ref_config: Configuration | None = None
         self._ref_sigs: list[frozenset] = []
+        self._ref_entries: list[tuple] = []
         self._ref_terms: list[float] = []
-        self._ref_totals: list[float] = []
-        self._ref_plans: list[tuple[float, ...] | None] = []
-        self._ref_full_plans: list[tuple | None] = []
         self._ref_total = 0.0
 
-        #: (si, relevant-subset signature) ->
-        #: (term, total, plan_costs, full AccessPlan tuple | None)
+        #: (si, relevant-subset signature) -> entry, a tuple
+        #: (term, total, plan_costs, plans, base_total, mv): the
+        #: weighted and raw totals; for a SELECT also the chosen base
+        #: (non-MV) per-table plan costs and AccessPlans, their total,
+        #: and the cheapest matching MV scan (None when none matches);
+        #: None in the last four fields for maintenance statements.
         self._memo: dict = {}
         #: (si, table, candidate identity, base identity) ->
         #: AccessPlan (None = unusable plan).
@@ -228,15 +240,12 @@ class DeltaWorkloadCoster:
         #: (si, table, base identity) groups already batch-probed.
         self._probe_filled: set = set()
 
-        # Hot-path caches.  _ref_bases and _shift_cache depend on the
-        # reference configuration and are reset on every rebase;
-        # _sig_mv is a pure property of a signature and persists.
+        # Hot-path caches, reset on every rebase (they depend on the
+        # reference configuration).
         #: table -> (base structure, base identity) under the reference.
         self._ref_bases: dict = {}
         #: (si, added identity) -> shifted signature (single-add case).
         self._shift_cache: dict = {}
-        #: signature -> whether it contains an MV identity.
-        self._sig_mv: dict = {}
 
         # Instrumentation.
         self.reused_terms = 0
@@ -259,42 +268,28 @@ class DeltaWorkloadCoster:
         term comes out of the memo."""
         if self._ref_config is not None and config == self._ref_config:
             return self._ref_total
-        n = len(self._stmts)
         if self._ref_config is None:
-            sigs, terms, totals, plans, full = [], [], [], [], []
-            for si in range(n):
+            sigs, entries = [], []
+            for si in range(len(self._stmts)):
                 sig = self._sig(si, config)
-                term, total, pc, fp = self._term_for(si, sig, config)
                 sigs.append(sig)
-                terms.append(term)
-                totals.append(total)
-                plans.append(pc)
-                full.append(fp)
+                entries.append(self._term_for(si, sig, config))
         else:
             added = config.indexes - self._ref_config.indexes
             removed = self._ref_config.indexes - config.indexes
             sigs = list(self._ref_sigs)
-            terms = list(self._ref_terms)
-            totals = list(self._ref_totals)
-            plans = list(self._ref_plans)
-            full = list(self._ref_full_plans)
+            entries = list(self._ref_entries)
             for si in self._affected(added | removed):
                 sig = self._shifted_sig(si, added, removed)
-                term, total, pc, fp = self._term_for(
+                entries[si] = self._term_for(
                     si, sig, config, added=added, removed=removed
                 )
                 sigs[si] = sig
-                terms[si] = term
-                totals[si] = total
-                plans[si] = pc
-                full[si] = fp
         self._ref_config = config
         self._ref_sigs = sigs
-        self._ref_terms = terms
-        self._ref_totals = totals
-        self._ref_plans = plans
-        self._ref_full_plans = full
-        self._ref_total = sum(terms)
+        self._ref_entries = entries
+        self._ref_terms = [entry[0] for entry in entries]
+        self._ref_total = sum(self._ref_terms)
         self._ref_bases = {}
         self._shift_cache = {}
         return self._ref_total
@@ -342,7 +337,7 @@ class DeltaWorkloadCoster:
         removed = self._ref_config.indexes - config.indexes
         if not any(self._relevant(si, ix) for ix in added) and \
                 not any(self._relevant(si, ix) for ix in removed):
-            return self._ref_totals[si]
+            return self._ref_entries[si][1]
         return self._term_for(
             si,
             self._shifted_sig(si, added, removed),
@@ -428,9 +423,6 @@ class DeltaWorkloadCoster:
         certified = True
         for si in affected:
             if not self._is_select[si]:
-                certified = False
-                break
-            if self._ref_plans[si] is None:
                 certified = False
                 break
             for ix in added:
@@ -568,15 +560,6 @@ class DeltaWorkloadCoster:
             sig = sig | grow
         return sig
 
-    def _sig_has_mv(self, sig: frozenset) -> bool:
-        """Whether a signature contains an MV identity — memoized, as
-        the same signatures are re-examined on every sweep."""
-        has = self._sig_mv.get(sig)
-        if has is None:
-            has = any(t[6] is not None for t in sig)
-            self._sig_mv[sig] = has
-        return has
-
     def _affected(self, diff: Iterable[IndexDef]) -> list[int]:
         """Statement indices whose relevant set a diff touches, in
         workload order.  Callers must not mutate the result (the
@@ -610,39 +593,69 @@ class DeltaWorkloadCoster:
         added=None,
         removed=None,
     ) -> tuple:
-        """(weighted term, raw total, chosen per-table plan costs,
-        chosen plans) of statement ``si`` under ``config`` — memoized,
-        probe-reused or plan-patched when provably exact, fully
-        recosted otherwise."""
+        """The memo entry (see ``_memo``) of statement ``si`` under
+        ``config``: memoized, probe-reused or plan-patched against the
+        reference when a diff is given, fully recosted otherwise (the
+        cold rebase)."""
         entry = self._memo.get((si, sig))
         if entry is not None:
             self.memo_hits += 1
             return entry
-        entry = None
-        if added is not None:
-            if self._is_select[si] and self._ref_plans[si] is not None:
-                entry = self._delta_entry(si, sig, config, added, removed)
-            elif self._maint_info[si] is not None:
-                entry = self._maintenance_entry(si, sig, config)
-        if entry is None:
-            breakdown, plan_costs = self.whatif.cost_with_plans(
-                self._stmts[si], config
-            )
-            term = self._weights[si] * breakdown.total
-            entry = (
-                term, breakdown.total, plan_costs,
-                breakdown.plans or None,
-            )
-            self.full_recosts += 1
+        if added is None:
+            entry = self._full_entry(si, config)
+        elif self._is_select[si]:
+            entry = self._delta_entry(si, sig, config, added, removed)
+        else:
+            entry = self._maintenance_entry(si, sig, config)
         self._memo[(si, sig)] = entry
         return entry
+
+    def _full_entry(self, si: int, config: Configuration) -> tuple:
+        """The memo entry from a full what-if costing of the statement."""
+        breakdown, plan_costs = self.whatif.cost_with_plans(
+            self._stmts[si], config
+        )
+        self.full_recosts += 1
+        total = breakdown.total
+        if not self._is_select[si]:
+            return (self._weights[si] * total, total, None, None, None, None)
+        plans = breakdown.plans
+        base_total = (
+            self._select_total_from_plans(si, plans) if breakdown.used_mv
+            else total
+        )
+        return self._select_entry(
+            si, plan_costs, plans, base_total,
+            self._mv_best(self._stmts[si], config),
+        )
+
+    def _select_entry(
+        self, si: int, plan_costs, plans, base_total: float, mv
+    ) -> tuple:
+        """A SELECT memo entry: ``_cost_select``'s choice between the
+        best matching MV scan and the base plans (the MV only on a
+        strict win), weighted as the full path weights it."""
+        total = mv if mv is not None and mv < base_total else base_total
+        return (
+            self._weights[si] * total, total, plan_costs, plans,
+            base_total, mv,
+        )
+
+    def _patched_entry(self, si: int, patched: list, mv) -> tuple:
+        """A SELECT memo entry rebuilt from patched base plans."""
+        self.patched_terms += 1
+        plans = tuple(patched)
+        return self._select_entry(
+            si, tuple(plan.cost for plan in plans), plans,
+            self._select_total_from_plans(si, plans), mv,
+        )
 
     def _delta_entry(
         self, si: int, sig: frozenset, config: Configuration,
         added, removed,
-    ) -> tuple | None:
+    ) -> tuple:
         """The exact memo entry for a SELECT under a diffed candidate,
-        when the plans decide it without a full recost:
+        without a full recost.  The base plans are decided first:
 
         * reference reuse when every change is invisible (non-matching
           MVs, unusable plans, plans that strictly lose);
@@ -653,11 +666,10 @@ class DeltaWorkloadCoster:
           ``_structures_for`` + :func:`best_access_plan`, so ordering
           and tie-breaks are the optimizer's own.
 
-        None means only a full recost is exact (MV substitution in
-        scope, or no reference plans to patch)."""
+        The total is then composed with the MV term, which only a
+        matching MV add or remove recomputes."""
         stmt = self._stmts[si]
-        if self._sig_has_mv(sig):
-            return None  # MVs in scope: substitution needs a recost
+        ref = self._ref_entries[si]
         if not removed and len(added) == 1:
             # Enumeration hot path: config ∪ {one secondary}.  The
             # general loop below reduces exactly to this sequence for a
@@ -678,19 +690,9 @@ class DeltaWorkloadCoster:
                     chosen is not None and entry.cost > chosen
                 ):
                     self.reused_terms += 1
-                    return (
-                        self._ref_terms[si],
-                        self._ref_totals[si],
-                        self._ref_plans[si],
-                        self._ref_full_plans[si],
-                    )
+                    return ref
                 if chosen is not None:
-                    full = self._ref_full_plans[si]
-                    if full is None:
-                        full = self._reconstruct_ref_plans(si)
-                        if full is None:
-                            return None
-                    patched = list(full)
+                    patched = list(ref[3])
                     ti = stmt.tables.index(ix.table)
                     if entry.cost == chosen:
                         # Tie: the optimizer's first-minimum order
@@ -700,36 +702,25 @@ class DeltaWorkloadCoster:
                         )
                     else:
                         patched[ti] = entry
-                    total = self._select_total_from_plans(si, patched)
-                    term = self._weights[si] * total
-                    self.patched_terms += 1
-                    return (
-                        term, total,
-                        tuple(plan.cost for plan in patched),
-                        tuple(patched),
-                    )
+                    return self._patched_entry(si, patched, ref[5])
                 # chosen is None (defensive): fall through to the
                 # general path, which recomputes the table's plan.
-        for ix in removed:
-            if self._relevant(si, ix) and ix.is_mv_index:
-                # Non-matching MVs are invisible; matching ones change
-                # the substitution choice.
-                if mv_matches_query(ix.mv, stmt):
-                    return None
-        recompute: set[str] = set()
-        winners: dict[str, object] = {}
-        removed_tables = {
+        mv = ref[5]
+        mv_changed = any(
+            ix.mv is not None and mv_matches_query(ix.mv, stmt)
+            for diff in (added, removed) for ix in diff
+        )
+        if mv_changed:
+            # Before any base probe: _cost_select sizes MVs first.
+            mv = self._mv_best(stmt, config)
+        recompute: set[str] = {
             ix.table for ix in removed
             if not ix.is_mv_index and self._relevant(si, ix)
         }
-        recompute |= removed_tables
+        winners: dict[str, object] = {}
         for ix in added:
-            if not self._relevant(si, ix):
-                continue
-            if ix.is_mv_index:
-                if mv_matches_query(ix.mv, stmt):
-                    return None  # MV substitution: full recost
-                continue  # non-matching MV: invisible to this SELECT
+            if ix.is_mv_index or not self._relevant(si, ix):
+                continue  # MVs are in the MV term only
             table = ix.table
             if table in recompute:
                 continue
@@ -762,43 +753,25 @@ class DeltaWorkloadCoster:
                     recompute.add(table)  # tied winners: order decides
                     winners.pop(table, None)
         if not recompute and not winners:
-            # Every change invisible: the reference floats are the
-            # candidate's floats, bit for bit.
-            self.reused_terms += 1
-            return (
-                self._ref_terms[si],
-                self._ref_totals[si],
-                self._ref_plans[si],
-                self._ref_full_plans[si],
-            )
-        full = self._ref_full_plans[si]
-        if full is None:
-            # Persistent replay: the reference carries plan costs but
-            # not the plans themselves — rebuild them with the real
-            # plan search (bit-identical by construction, and verified
-            # against the replayed costs before use).
-            full = self._reconstruct_ref_plans(si)
-            if full is None:
-                return None
-        patched = list(full)
+            if not mv_changed:
+                # Every change invisible: the reference floats are the
+                # candidate's floats, bit for bit.
+                self.reused_terms += 1
+                return ref
+            self.patched_terms += 1
+            return self._select_entry(si, ref[2], ref[3], ref[4], mv)
+        patched = list(ref[3])
         for table, plan in winners.items():
             patched[stmt.tables.index(table)] = plan
         for table in recompute:
             patched[stmt.tables.index(table)] = self._table_plan(
                 si, table, sig, config
             )
-        total = self._select_total_from_plans(si, patched)
-        term = self._weights[si] * total
-        self.patched_terms += 1
-        return (
-            term, total,
-            tuple(plan.cost for plan in patched),
-            tuple(patched),
-        )
+        return self._patched_entry(si, patched, mv)
 
     def _maintenance_entry(
         self, si: int, sig: frozenset, config: Configuration
-    ) -> tuple | None:
+    ) -> tuple:
         """The exact memo entry for a maintenance statement (INSERT /
         UPDATE / DELETE) under any configuration, rebuilt from memoized
         per-structure contributions.
@@ -810,11 +783,11 @@ class DeltaWorkloadCoster:
         reproduces the full path's maintenance breakdown bit for bit.
         UPDATE/DELETE find-probes replay ``_cost_select``'s single-table
         arithmetic from the optimizer's own plan search (memoized per
-        table-local structure subset).  None falls back to a full recost
-        (an MV in scope could change the probe's substitution choice)."""
+        table-local structure subset), composed with the probe's best
+        matching MV scan like any SELECT."""
         table, probe = self._maint_info[si]
-        if probe is not None and self._sig_has_mv(sig):
-            return None  # MV in scope: the find-probe could substitute
+        # Before any other sizing: _cost_select sizes MVs first.
+        mv = None if probe is None else self._mv_best(probe, config)
         coster = self.whatif.coster
         affected = self._affected_rows(si)
         io_terms: list[float] = []
@@ -833,12 +806,30 @@ class DeltaWorkloadCoster:
         if probe is not None:
             # _cost_update/_cost_delete: total = find.total +
             # maintain.total, find.total = plan.io + plan.cpu (single
-            # table, no joins/groups/sort on the probe).
+            # table, no joins/groups/sort on the probe) unless an MV
+            # scan strictly beats it.
             plan = self._table_plan(si, table, sig, config)
-            total = (plan.io_cost + plan.cpu_cost) + total
+            find = plan.io_cost + plan.cpu_cost
+            if mv is not None and mv < find:
+                find = mv
+            total = find + total
         term = self._weights[si] * total
         self.patched_maintenance += 1
-        return (term, total, None, None)
+        return (term, total, None, None, None, None)
+
+    def _mv_best(self, query: SelectQuery, config: Configuration):
+        """Total of ``_try_mv_plan``'s choice for ``query`` under
+        ``config`` (None when no MV matches): the minimum over the
+        matching MVs, sized in ``config.ordered()`` order as there."""
+        matching = [
+            ix for ix in config
+            if ix.mv is not None and mv_matches_query(ix.mv, query)
+        ]
+        if not matching:
+            return None
+        matching.sort(key=repr)  # config.ordered()'s order
+        scan = self.whatif.coster.mv_scan_cost
+        return min(scan(ix).total for ix in matching)
 
     def _affected_rows(self, si: int) -> float:
         """Affected row count of maintenance statement ``si`` — the
@@ -857,28 +848,6 @@ class DeltaWorkloadCoster:
                 )
             self._maint_affected[si] = affected
         return affected
-
-    def _reconstruct_ref_plans(self, si: int) -> tuple | None:
-        """Chosen per-table plans of the reference statement costing,
-        recomputed with the optimizer's own plan search when the
-        reference breakdown was a persistent replay (which persists the
-        plan costs, not the plans).  The recomputed costs must equal the
-        replayed ones bit-for-bit — a mismatch (changed cost model vs. a
-        stale record, which the context fingerprint should preclude)
-        falls back to full recosting rather than risk a wrong patch."""
-        plan_costs = self._ref_plans[si]
-        if plan_costs is None:
-            return None
-        stmt = self._stmts[si]
-        sig = self._ref_sigs[si]
-        plans = tuple(
-            self._table_plan(si, table, sig, self._ref_config)
-            for table in stmt.tables
-        )
-        if tuple(plan.cost for plan in plans) != plan_costs:
-            return None  # pragma: no cover - defensive
-        self._ref_full_plans[si] = plans
-        return plans
 
     def _table_plan(self, si: int, table: str, sig: frozenset,
                     config: Configuration):
@@ -912,10 +881,9 @@ class DeltaWorkloadCoster:
         return plan
 
     def _select_total_from_plans(self, si: int, plans: list) -> float:
-        """``_cost_select``'s total rebuilt from already-chosen per-table
-        plans: the identical arithmetic in the identical order, minus
-        the per-structure plan search (only valid with no MV in scope).
-        """
+        """``_cost_select``'s base (non-MV) total rebuilt from
+        already-chosen per-table plans: the identical arithmetic in the
+        identical order, minus the per-structure plan search."""
         stmt = self._stmts[si]
         constants = self.whatif.coster.constants
         io = cpu = 0.0
@@ -962,7 +930,7 @@ class DeltaWorkloadCoster:
         return sel
 
     def _chosen_plan_cost(self, si: int, table: str) -> float | None:
-        plans = self._ref_plans[si]
+        plans = self._ref_entries[si][2]
         try:
             return plans[self._stmts[si].tables.index(table)]
         except (ValueError, IndexError):  # pragma: no cover - defensive
@@ -1067,7 +1035,7 @@ class DeltaWorkloadCoster:
         stmt = self._stmts[si]
         if ix.is_mv_index:
             # Non-matching MVs are skipped by both the access-path and
-            # the MV-substitution scans; matching ones need a recost.
+            # the MV-substitution scans; matching ones may win.
             return not mv_matches_query(ix.mv, stmt)
         if ix.kind is not IndexKind.SECONDARY:
             return False  # base adds surface as removed+added upstream
@@ -1219,8 +1187,8 @@ class DeltaWorkloadCoster:
 
     def _mv_floor(self, stmt: SelectQuery) -> float | None:
         """Cheapest matching MV substitution available in the universe
-        (exact per-MV arithmetic, mirroring ``_try_mv_plan``)."""
-        constants = self.whatif.coster.constants
+        (the optimizer's own MV scan cost, at the peeked sizes)."""
+        scan = self.whatif.coster.mv_scan_cost
         best = None
         for ix in self._universe or ():
             if not ix.is_mv_index or not mv_matches_query(ix.mv, stmt):
@@ -1228,14 +1196,7 @@ class DeltaWorkloadCoster:
             size = self._universe_size(ix)
             if size is None:
                 return 0.0  # unknown MV size: only zero stays sound
-            size_bytes, rows = size
-            pages = max(1.0, size_bytes / PAGE_SIZE)
-            cost = pages * constants.io_seq_page + rows * constants.cpu_tuple
-            if ix.method.is_compressed:
-                n_cols = max(
-                    1, len(ix.mv.group_by) + len(ix.mv.aggregates)
-                )
-                cost += constants.decompress_cpu(ix.method, rows, n_cols)
+            cost = scan(ix, size).total
             if best is None or cost < best:
                 best = cost
         return best

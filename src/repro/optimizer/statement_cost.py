@@ -11,7 +11,7 @@ workloads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 from repro.catalog.schema import Database
@@ -39,7 +39,11 @@ SizeLookup = Callable[[IndexDef], tuple[float, float]]
 
 @dataclass(frozen=True)
 class CostBreakdown:
-    """Estimated cost of a statement under a configuration."""
+    """Estimated cost of a statement under a configuration.
+
+    ``plans`` are a SELECT's chosen per-table access plans over the
+    non-MV structures; they are kept when an MV scan (``used_mv``)
+    wins, and then the totals are the MV scan's."""
 
     total: float
     io: float
@@ -146,7 +150,9 @@ class StatementCoster:
             total=io + cpu, io=io, cpu=cpu, plans=tuple(plans)
         )
         if mv_plan is not None and mv_plan.total < base.total:
-            return mv_plan
+            # Keep the base plans: delta costing patches them and
+            # composes the total with the best MV scan again.
+            return replace(mv_plan, plans=base.plans)
         return base
 
     def _order_satisfied(self, query: SelectQuery, fact_plan: AccessPlan) -> bool:
@@ -163,28 +169,34 @@ class StatementCoster:
                      config: Configuration) -> CostBreakdown | None:
         best: CostBreakdown | None = None
         # Stable member order: the strict '<' tie-break below must not
-        # depend on set iteration (PYTHONHASHSEED) for reproducibility.
+        # depend on set iteration (PYTHONHASHSEED) for reproducibility,
+        # and matching MVs are sized in this order.
         for index in config.ordered():
             if not index.is_mv_index:
                 continue
             if not mv_matches_query(index.mv, query):
                 continue
-            size_bytes, rows = self.sizes(index)
-            pages = max(1.0, size_bytes / PAGE_SIZE)
-            io = pages * self.constants.io_seq_page
-            cpu = rows * self.constants.cpu_tuple
-            if index.method.is_compressed:
-                n_cols = max(1, len(index.mv.group_by)
-                             + len(index.mv.aggregates))
-                cpu += self.constants.decompress_cpu(
-                    index.method, rows, n_cols
-                )
-            total = io + cpu
-            if best is None or total < best.total:
-                best = CostBreakdown(
-                    total=total, io=io, cpu=cpu, used_mv=True
-                )
+            plan = self.mv_scan_cost(index)
+            if best is None or plan.total < best.total:
+                best = plan
         return best
+
+    def mv_scan_cost(
+        self, index: IndexDef, size: tuple[float, float] | None = None
+    ) -> CostBreakdown:
+        """Cost of answering a query by scanning MV index ``index``:
+        every page read sequentially, every stored row touched, plus
+        decompression.  ``size`` is ``(bytes, rows)``; by default it
+        comes from the wired size lookup."""
+        size_bytes, rows = self.sizes(index) if size is None else size
+        pages = max(1.0, size_bytes / PAGE_SIZE)
+        io = pages * self.constants.io_seq_page
+        cpu = rows * self.constants.cpu_tuple
+        if index.method.is_compressed:
+            n_cols = max(1, len(index.mv.group_by)
+                         + len(index.mv.aggregates))
+            cpu += self.constants.decompress_cpu(index.method, rows, n_cols)
+        return CostBreakdown(total=io + cpu, io=io, cpu=cpu, used_mv=True)
 
     # ------------------------------------------------------------------
     # Updates

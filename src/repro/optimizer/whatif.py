@@ -145,9 +145,10 @@ class WhatIfOptimizer:
         self, statement: Statement, config: Configuration
     ) -> "tuple[CostBreakdown, tuple[float, ...] | None]":
         """One statement's cost plus its chosen per-table access-plan
-        costs (aligned with ``statement.tables``), or None when there
-        are none — an update statement or an MV substitution.  The delta
-        coster's access-path probes compare against these."""
+        costs (aligned with ``statement.tables``), or None for an
+        INSERT/UPDATE/DELETE.  A SELECT answered by an MV scan still
+        reports the plans it would use without MVs.  The delta coster's
+        access-path probes compare against these."""
         key = self._signature(statement, config)
         breakdown = self._cache.get(key)
         if breakdown is None:

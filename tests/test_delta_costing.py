@@ -243,6 +243,36 @@ class TestUpdateHeavyIncremental:
         assert on.steps == off.steps
         assert on.delta_stats["patched_maintenance"] > 0
 
+    def test_find_probe_answered_by_an_mv(self, update_heavy_rig):
+        """An UPDATE whose find-probe an MV answers (a projection view
+        with exactly the UPDATE's filter): the maintenance entry
+        composes the probe's MV scan with its base plan."""
+        from repro.physical.mv_def import MVDefinition
+        from repro.workload.query import SelectQuery
+
+        whatif, wl, base, pool, db, _budget = update_heavy_rig
+        upd = next(ws.statement for ws in wl.updates
+                   if ws.name == "UPD_STATUS")
+        mv = MVDefinition(name="mv_sales_status_probe", fact_table="sales",
+                          tables=("sales",), predicates=upd.predicates)
+        mv_ix = IndexDef(mv.name, (mv.storage_columns(db)[0][0],),
+                         kind=IndexKind.CLUSTERED, mv=mv)
+        probe = SelectQuery(tables=("sales",),
+                            select_columns=tuple(upd.set_columns),
+                            predicates=upd.predicates)
+        with_mv = base.add(mv_ix)
+        assert whatif.coster._cost_select(probe, with_mv).used_mv
+        delta = whatif.delta_coster(wl)
+        delta.rebase(base)
+        configs = [with_mv, with_mv.add(pool[0]), base.add(pool[0])]
+        incremental = delta.batch(configs)
+        delta.rebase(with_mv)
+        incremental += delta.batch([base, base.add(pool[0])])
+        whatif.clear_cache()
+        assert incremental == whatif.workload_cost_batch(
+            wl, configs + [base, base.add(pool[0])])
+        assert delta.stats()["full_recosts"] == len(wl)
+
     def test_maintenance_total_is_order_independent(self, update_heavy_rig):
         """The fsum accumulation contract: per-structure contributions
         summed in any order reproduce ``_maintenance_cost``'s exact
@@ -458,3 +488,161 @@ class TestPruning:
         assert on.configuration == off.configuration
         assert on.final_cost == off.final_cost
         assert on.steps == off.steps
+
+
+@pytest.fixture(scope="module")
+def tpch_mv_rig():
+    """TPC-H with MV candidates in play: a what-if optimizer, its base
+    configuration, and secondary and MV-index candidates from the
+    advisor's own generator."""
+    from repro.advisor.candidates import CandidateOptions, candidate_indexes
+    from repro.datasets.tpch import tpch_database, tpch_workload
+
+    db = tpch_database(scale=0.02)
+    wl = tpch_workload(db)
+    stats = DatabaseStats(db)
+    advisor = TuningAdvisor(
+        db, wl,
+        AdvisorOptions(budget_bytes=db.total_data_bytes() * 0.15,
+                       enable_partial=True, enable_mv=True),
+        estimator=SizeEstimator(db, stats=stats), stats=stats,
+    )
+    options = CandidateOptions(enable_partial=True, enable_mv=True)
+    pool = list(dict.fromkeys(
+        ix for ws in wl.queries
+        for ix in candidate_indexes(db, ws.statement, options)
+    ))
+    mvs = [ix for ix in pool if ix.is_mv_index]
+    secondaries = [ix for ix in pool if ix.kind is IndexKind.SECONDARY]
+    return advisor.whatif, wl, advisor.base_config, secondaries, mvs
+
+
+def _mv_substituted_reference(whatif, wl, base, mvs):
+    """The base plus one MV that wins its statement's costing."""
+    for mv in mvs:
+        config = base.add(mv)
+        if any(whatif.cost(ws.statement, config).used_mv for ws in wl):
+            return config
+    raise AssertionError("no MV candidate wins a statement")
+
+
+def _mv_configs(ref: Configuration, secondaries, mvs, seed: int, n: int):
+    """Randomized diffs against ``ref``: MV adds (each MV matches one
+    statement shape and overlaps others without matching them), MV
+    removes, MV and base method swaps, secondary adds, and growing
+    chains mixing all of them."""
+    from repro.compression.base import CompressionMethod
+
+    methods = (CompressionMethod.NONE, CompressionMethod.ROW,
+               CompressionMethod.PAGE)
+    rng = random.Random(seed)
+    configs = []
+    current = ref
+    for _ in range(n):
+        in_mvs = [ix for ix in current.ordered() if ix.is_mv_index]
+        bases = [ix for ix in current.ordered()
+                 if not ix.is_mv_index and ix.kind is not IndexKind.SECONDARY]
+        roll = rng.random()
+        if roll < 0.25:
+            configs.append(current.add(rng.choice(mvs)))
+        elif roll < 0.4:
+            configs.append(current.add(rng.choice(secondaries)))
+        elif roll < 0.55 and in_mvs:
+            configs.append(current.remove(rng.choice(in_mvs)))
+        elif roll < 0.7 and in_mvs:
+            ix = rng.choice(in_mvs)
+            configs.append(
+                current.replace(ix, ix.with_method(rng.choice(methods))))
+        elif roll < 0.8:
+            ix = rng.choice(bases)
+            configs.append(
+                current.replace(ix, ix.with_method(rng.choice(methods))))
+        else:
+            current = current.add(rng.choice(mvs + secondaries))
+            configs.append(current)
+    return configs
+
+
+class TestMVDeltaCosting:
+    """MV substitution is costed exactly by composition — the total is
+    ``min(best matching MV scan, base plan total)`` — never by falling
+    back to a full recost."""
+
+    @pytest.mark.parametrize("seed", [21, 22, 23])
+    def test_randomized_mv_sequences_match_full_batch(self, tpch_mv_rig,
+                                                      seed):
+        whatif, wl, base, secondaries, mvs = tpch_mv_rig
+        ref = _mv_substituted_reference(whatif, wl, base, mvs)
+        configs = _mv_configs(ref, secondaries[::6], mvs, seed, 40)
+        delta = whatif.delta_coster(wl)
+        delta.rebase(ref)
+        incremental = delta.batch(configs)
+        whatif.clear_cache()
+        assert incremental == whatif.workload_cost_batch(wl, configs)
+        assert delta.stats()["full_recosts"] == len(wl)
+
+    def test_rebasing_through_mv_chain_matches_full(self, tpch_mv_rig):
+        """Enumeration moves the reference: every rebase along a chain
+        of MV and secondary adds, removes and swaps stays exact."""
+        whatif, wl, base, secondaries, mvs = tpch_mv_rig
+        delta = whatif.delta_coster(wl)
+        delta.rebase(base)
+        for config in _mv_configs(base, secondaries[::6], mvs, 31, 30):
+            assert delta.rebase(config) == whatif.workload_cost(wl, config)
+            for ws in wl.queries[:4]:
+                assert delta.statement_cost(ws.statement, config) == \
+                    whatif.cost(ws.statement, config).total
+        assert delta.stats()["full_recosts"] == len(wl)
+
+    def test_secondary_adds_under_mv_substituted_reference(
+        self, tpch_mv_rig
+    ):
+        """The enumeration hot path (one added secondary) on statements
+        an MV answers: winning probes patch the base plans, and the
+        total is composed with the reference's MV term."""
+        whatif, wl, base, secondaries, mvs = tpch_mv_rig
+        ref = _mv_substituted_reference(whatif, wl, base, mvs)
+        substituted = {
+            table for ws in wl.queries
+            if whatif.cost(ws.statement, ref).used_mv
+            for table in ws.statement.tables
+        }
+        configs = [ref.add(ix) for ix in secondaries
+                   if ix.table in substituted]
+        delta = whatif.delta_coster(wl)
+        delta.rebase(ref)
+        incremental = delta.batch(configs)
+        whatif.clear_cache()
+        assert incremental == whatif.workload_cost_batch(wl, configs)
+        assert delta.stats()["patched_terms"] > 0
+        assert delta.stats()["full_recosts"] == len(wl)
+
+    def test_mv_substituted_breakdown_keeps_base_plans(self, tpch_mv_rig):
+        whatif, wl, base, _secondaries, mvs = tpch_mv_rig
+        ref = _mv_substituted_reference(whatif, wl, base, mvs)
+        for ws in wl.queries:
+            breakdown, plan_costs = whatif.cost_with_plans(ws.statement, ref)
+            assert plan_costs is not None
+            assert len(breakdown.plans) == len(ws.statement.tables)
+            if breakdown.used_mv:
+                assert breakdown.total < \
+                    whatif.cost(ws.statement, base).total
+
+    @pytest.mark.parametrize("weights", [(10.0, 1.0), (1.0, 10.0)])
+    def test_tune_identical_with_delta_on_or_off(self, weights):
+        from repro.datasets.tpch import tpch_database, tpch_workload
+
+        db = tpch_database(scale=0.02)
+        wl = tpch_workload(db, select_weight=weights[0],
+                           insert_weight=weights[1])
+        budget = db.total_data_bytes() * 0.15
+        kwargs = dict(variant="dtac-both", enable_partial=True,
+                      enable_mv=True)
+        off = tune(db, wl, budget, delta_costing=False, **kwargs)
+        on = tune(db, wl, budget, delta_costing=True, **kwargs)
+        assert on.configuration == off.configuration
+        assert on.final_cost == off.final_cost
+        assert on.steps == off.steps
+        assert any(ix.is_mv_index for ix in on.configuration)
+        # Only the cold rebase recosts statements in full.
+        assert on.delta_stats["full_recosts"] == len(wl)
